@@ -1,9 +1,13 @@
 """Almost-linear gradient engine.
 
 Builds low-rank factor triples for the attention matrix, the residual-driven
-matrix W, and the two softmax-Jacobian pieces Pa and Pb, then contracts the
-concatenated factors against A1, A2, A3.  No step ever materializes an
-n x n^2 (or even n x n) buffer; everything is n x k for small ranks k.
+matrix W, and the two softmax-Jacobian pieces Pa and Pb, and contracts them
+against A1, A2, A3.  No step ever materializes an n x n^2 (or even n x n)
+buffer.  The largest buffers are the n x k1 factors of F and Pb: Pa, of rank
+k1*d, is never materialized in :func:`grad_fast`.  Its factors are row-wise
+Kronecker products, so each of its three contractions runs as one GEMM
+against an n x d^2 scratch (:func:`_contract_row_kron`).  Only the d x k
+results are concatenated.
 """
 
 import time
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, ValidationError
-from .lowrank import RANK_CAP, LowRankTriple, build_F_factors, choose_degree
+from .lowrank import RANK_CAP, LowRankTriple, build_F_factors, f_degree
 from .tensorops import row_kron
 
 EPS_NOISE_FLOOR = 1e-12
@@ -83,6 +87,15 @@ def build_Pa_factors(f_factors, w_factors):
     )
 
 
+def _contract_row_kron(a, b, c):
+    """``a.T @ row_kron(b, c)`` without the n x kb*kc product.
+
+    Computed as ``row_kron(a, b).T @ c``: an n x d*kb scratch and one GEMM,
+    whose d*kb x kc result is, read in C order, the d x kb*kc answer.
+    """
+    return (row_kron(a, b).T @ c).reshape(a.shape[1], -1)
+
+
 def build_Pb_factors(f_factors, w_factors):
     """Factor triple for Pb (rows R_j * F_j) plus the per-row scalars R.
 
@@ -142,10 +155,14 @@ def _audit_named(arrays, limit_entries):
 def grad_fast(inst, eps, audit=False):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
+    The degree and the ranks k1 and k3 = k1*d are fixed first, and an
+    instance whose k1 or k3 is over ``RANK_CAP`` is rejected with
+    ``ValidationError`` before any factor is allocated.
+
     ``audit=True`` additionally traces allocations: every named pipeline
     buffer must stay below n^2 entries and the traced peak must stay below
     three n^2-entry float64 buffers.  The audit is meaningful in the target
-    regime n*k5 << n^2 and slows the run; leave it off when timing.
+    regime n*k1 << n^2 and slows the run; leave it off when timing.
     """
     if eps >= 1:
         raise ValidationError(f"eps must be below 1, got {eps}")
@@ -158,6 +175,16 @@ def grad_fast(inst, eps, audit=False):
         )
     n, d = inst.n, inst.d
     eps_internal = eps / 2.0
+    degree, k1 = f_degree(inst, eps_internal)
+    k2 = d
+    k3 = k1 * k2
+    if k3 > RANK_CAP:
+        raise ValidationError(
+            f"degree g={degree} gives Pa rank k1*d = {k3}, over the cap {RANK_CAP}; "
+            f"loosen eps or shrink the entry bound"
+        )
+    k4 = k1
+    k5 = k3 + k4
     if audit:
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -176,47 +203,34 @@ def grad_fast(inst, eps, audit=False):
     w_factors = build_W_factors(inst, u2)
     timings["w_factors"] = time.perf_counter() - t
 
+    # Pa = W o F has the factors row_kron(U2, U1), row_kron(V2, V1) and
+    # row_kron(W2, W1): build_Pa_factors' triple with its columns permuted
+    # alike, which the sum over columns below does not see.  Only their
+    # d x k3 contractions are formed.
     t = time.perf_counter()
-    pa = build_Pa_factors(f_factors, w_factors)
+    pa1 = _contract_row_kron(inst.A1, w_factors.U, f_factors.U)
+    pa2 = _contract_row_kron(inst.A2, w_factors.V, f_factors.V)
+    pa3 = _contract_row_kron(inst.A3, w_factors.W, f_factors.W)
     timings["pa_factors"] = time.perf_counter() - t
 
     t = time.perf_counter()
     pb, r_tilde = build_Pb_factors(f_factors, w_factors)
     timings["pb_factors"] = time.perf_counter() - t
 
-    k1 = f_factors.k
-    k2 = w_factors.k
-    k3 = pa.k
-    k4 = pb.k
-    k5 = k3 + k4
-    degree = choose_degree(inst.b_eff() ** 3, eps_internal)
-
     if audit:
         _audit_named(
             [
                 ("U1", f_factors.U), ("V1", f_factors.V), ("W1", f_factors.W),
                 ("U2", w_factors.U), ("V2", w_factors.V), ("W2", w_factors.W),
-                ("U3", pa.U), ("V3", pa.V), ("W3", pa.W),
                 ("U4", pb.U), ("R", r_tilde),
             ],
             n * n,
         )
-        if n * k5 >= n * n:
-            raise NumericalError(
-                f"allocation audit: concatenated factors would hold n*k5 = "
-                f"{n * k5} entries, over the n^2 = {n * n} limit"
-            )
 
     t = time.perf_counter()
-    u5 = np.hstack([pa.U, -pb.U])
-    g1 = inst.A1.T @ u5
-    del u5
-    v5 = np.hstack([pa.V, pb.V])
-    g2 = inst.A2.T @ v5
-    del v5
-    w5 = np.hstack([pa.W, pb.W])
-    g3 = inst.A3.T @ w5
-    del w5
+    g1 = np.hstack([pa1, -(inst.A1.T @ pb.U)])
+    g2 = np.hstack([pa2, inst.A2.T @ pb.V])
+    g3 = np.hstack([pa3, inst.A3.T @ pb.W])
     g_tilde = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
     timings["assemble"] = time.perf_counter() - t
 

@@ -2,8 +2,11 @@
 
 The jitted path is the default whenever numba imports cleanly.  Setting the
 environment variable ``TAT_NUMBA=0`` before import forces the numpy path
-(useful for debugging and as a dependency-free fallback).  Every kernel has
-identical semantics on both paths up to floating-point reassociation.
+(useful for debugging and as a dependency-free fallback).  Every kernel with
+two paths has identical semantics on both up to floating-point
+reassociation.  ``feature_rows`` has only the numpy path, whatever the
+backend: it builds each monomial from an earlier one with one vectorised
+product per degree.
 
 Thread control: :func:`set_threads` selects how many workers the
 row-parallel kernels may use.  Each outer iteration writes a disjoint slice
@@ -61,20 +64,6 @@ def backend():
 # ---------------------------------------------------------------------------
 # kernel bodies (plain Python, jitted below; outer loops are row-parallel)
 # ---------------------------------------------------------------------------
-
-def _feature_rows_impl(M, exps, weights, out):
-    # out[i, k] = weights[k] * prod_t M[i, t] ** exps[k, t]
-    n, d = M.shape
-    k = exps.shape[0]
-    for i in prange(n):
-        for j in range(k):
-            v = weights[j]
-            for t in range(d):
-                x = M[i, t]
-                for _ in range(exps[j, t]):
-                    v *= x
-            out[i, j] = v
-
 
 def _bilinear_rows_impl(U, G, V, out):
     # out[j] = U[j, :] @ G @ V[j, :]
@@ -253,7 +242,6 @@ def _hard_probe_rows_par(H, V, lam, out):
 
 
 _IMPLS_SERIAL = {
-    "feature_rows": _feature_rows_impl,
     "bilinear_rows": _bilinear_rows_impl,
     "attn_forward": _attn_forward_impl,
     "grad_row_contract": _grad_row_contract_impl,
@@ -261,7 +249,6 @@ _IMPLS_SERIAL = {
 }
 # parallel variants allocate their row buffers inside the loop
 _IMPLS_PARALLEL = {
-    "feature_rows": _feature_rows_impl,
     "bilinear_rows": _bilinear_rows_impl,
     "attn_forward": _attn_forward_par,
     "grad_row_contract": _grad_row_contract_par,
@@ -294,12 +281,6 @@ def _kernel(name):
 # numpy fallbacks
 # ---------------------------------------------------------------------------
 
-def feature_rows_np(M, exps, weights):
-    # n*k*d intermediate; fine at the rank caps this library enforces
-    pows = M[:, None, :] ** exps[None, :, :].astype(np.float64)
-    return pows.prod(axis=2) * weights[None, :]
-
-
 def bilinear_rows_np(U, G, V):
     return np.einsum("ja,ab,jb->j", U, G, V, optimize=True)
 
@@ -323,12 +304,27 @@ def hard_probe_rows_np(H, V, lam):
 # public dispatchers
 # ---------------------------------------------------------------------------
 
-def feature_rows(M, exps, weights):
-    if not NUMBA_ENABLED:
-        return feature_rows_np(M, exps, weights)
-    out = np.empty((M.shape[0], exps.shape[0]))
-    _kernel("feature_rows")(M, exps, weights, out)
-    return out
+def feature_rows(M, parents, variables, bounds, weights):
+    """Monomials of each row of ``M`` over a graded basis, times ``weights``.
+
+    Column 0 is the constant 1, and column i > 0 is column ``parents[i]``
+    times ``M[:, variables[i]]``.  Degree m fills columns
+    ``bounds[m]:bounds[m + 1]`` from parents of degree m - 1 only, so one
+    product per degree builds it.  ``weights=None`` leaves raw monomials.
+    O(n k) work with no buffer larger than the n x k output.
+
+    The result is the transpose of a k x n buffer: gathering whole rows of
+    that buffer is a block copy, where gathering columns of an n x k one is
+    a strided copy per entry.
+    """
+    mt = np.ascontiguousarray(M.T)
+    out = np.empty((parents.shape[0], M.shape[0]))
+    out[0] = 1.0
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        np.multiply(out[parents[lo:hi]], mt[variables[lo:hi]], out=out[lo:hi])
+    if weights is not None:
+        out *= weights[:, None]
+    return out.T
 
 
 def bilinear_rows(U, G, V):

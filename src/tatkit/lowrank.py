@@ -18,6 +18,7 @@ row normalizer cannot vanish.  The row normalizer is folded into the U
 factor, so the approximated attention rows sum to exactly 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,7 +123,16 @@ class MonomialBasis:
     Entries are in graded-lexicographic order (degree first, then lex with
     the first variable ranked highest), so factor matrices built on the same
     basis are reproducible byte for byte.  ``weights`` holds the multinomial
-    coefficient |alpha|! / prod_t alpha_t! of each entry.
+    coefficient |alpha|! / prod_t alpha_t! of each entry and
+    ``series_weights`` the series weight 1 / prod_t alpha_t!.
+
+    The recurrence fields let each monomial be built from one earlier one:
+    entry i > 0 equals its parent ``parents[i]`` times variable
+    ``variables[i]`` (the first variable with a nonzero exponent), so
+    ``exponents[i] = exponents[parents[i]] + e_variables[i]``.  Entry 0, the
+    constant monomial, has parent and variable -1.  Degree m occupies the
+    entries ``degree_bounds[m]:degree_bounds[m + 1]``, and every parent of
+    degree m lies in degree m - 1.  All arrays are read-only.
     """
 
     d: int
@@ -131,6 +141,9 @@ class MonomialBasis:
     weights: np.ndarray = field(default=None)
     degrees: np.ndarray = field(default=None)
     series_weights: np.ndarray = field(default=None)
+    parents: np.ndarray = field(default=None)
+    variables: np.ndarray = field(default=None)
+    degree_bounds: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.d < 1:
@@ -147,11 +160,21 @@ class MonomialBasis:
         w = np.empty(size)
         sw = np.empty(size)
         deg = np.empty(size, dtype=np.int64)
+        parents = np.full(size, -1, dtype=np.intp)
+        variables = np.full(size, -1, dtype=np.intp)
+        bounds = np.empty(self.g + 2, dtype=np.intp)
+        index = {}
         i = 0
         for m in range(self.g + 1):
+            bounds[m] = i
             m_fact = math.factorial(m)
             for alpha in _compositions(m, self.d):
                 exps[i] = alpha
+                index[alpha] = i
+                if m > 0:
+                    v = next(t for t, a in enumerate(alpha) if a)
+                    parents[i] = index[alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]]
+                    variables[i] = v
                 denom = 1
                 for a in alpha:
                     denom *= math.factorial(a)
@@ -164,17 +187,21 @@ class MonomialBasis:
                     sw[i] = math.exp(-sum(math.lgamma(a + 1) for a in alpha))
                 deg[i] = m
                 i += 1
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "series_weights", sw)
-        object.__setattr__(self, "degrees", deg)
+        bounds[self.g + 1] = i
+        for name, a in (("exponents", exps), ("weights", w), ("series_weights", sw),
+                        ("degrees", deg), ("parents", parents),
+                        ("variables", variables), ("degree_bounds", bounds)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def size(self):
         return self.exponents.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
 def build_basis(d, g):
+    """The (shared, read-only) :class:`MonomialBasis` for d variables up to degree g."""
     return MonomialBasis(d=d, g=g)
 
 
@@ -197,10 +224,10 @@ def feature_map(m, basis, weighting):
     if weighting == "full":
         w = basis.series_weights
     elif weighting == "none":
-        w = np.ones(basis.size)
+        w = None
     else:
         raise ValidationError(f"weighting must be 'full' or 'none', got {weighting!r}")
-    return kernels.feature_rows(m, basis.exponents, w)
+    return kernels.feature_rows(m, basis.parents, basis.variables, basis.degree_bounds, w)
 
 
 @dataclass(frozen=True)
@@ -249,18 +276,17 @@ class LowRankTriple:
         return out
 
 
-def build_F_factors(inst, eps):
-    """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
+def f_degree(inst, eps):
+    """Degree g and rank k1 = C(d+g, g) of the attention factors at ``eps``.
 
-    Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The argument range is bounded by the cube of the largest
-    projected entry; the degree then follows from :func:`choose_degree`.
-    The materialized product is entrywise within ``eps`` of the exact
-    attention matrix on the validity range.
+    The argument range is bounded by the cube of the largest projected entry;
+    the degree then follows from :func:`choose_degree`.  Raises
+    ``ValidationError`` when k1 is over ``RANK_CAP``.  Costs O(n d^2) and
+    allocates only the projected inputs, so callers can admit or reject an
+    instance before any feature map exists.
     """
     if not (0 < eps < 1):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    q, k1, k2, _, _ = inst.projected()
     b = inst.b_eff()
     r = b ** 3
     if not math.isfinite(r):
@@ -272,6 +298,19 @@ def build_F_factors(inst, eps):
             f"required degree g={g} gives rank k1={size}, over the cap {RANK_CAP}; "
             f"loosen eps or shrink the entry bound"
         )
+    return g, size
+
+
+def build_F_factors(inst, eps):
+    """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
+
+    Returns the factor triple and the row-normalizer vector that was folded
+    into U1.  The degree comes from :func:`f_degree`.  The materialized
+    product is entrywise within ``eps`` of the exact attention matrix on the
+    validity range.
+    """
+    g, _ = f_degree(inst, eps)
+    q, k1, k2, _, _ = inst.projected()
     basis = build_basis(inst.d, g)
     u_raw = feature_map(q / inst.d, basis, "full")
     v1 = feature_map(k1, basis, "none")

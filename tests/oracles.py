@@ -44,6 +44,20 @@ def row_kron_loops(a, b):
     return out
 
 
+def feature_rows_loops(m, exponents, weights):
+    """out[i, j] = weights[j] * prod_t m[i, t] ** exponents[j, t], one entry at a time."""
+    n = m.shape[0]
+    k, d = exponents.shape
+    out = np.zeros((n, k))
+    for i in range(n):
+        for j in range(k):
+            v = float(weights[j])
+            for t in range(d):
+                v *= float(m[i, t]) ** int(exponents[j, t])
+            out[i, j] = v
+    return out
+
+
 def odot3_tensor_loops(u, v, w):
     n, k = u.shape
     t = np.zeros((n, n, n))

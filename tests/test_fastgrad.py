@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,38 @@ def test_grad_fast_matches_exact_seed17():
     err = np.abs(rep.g_tilde - g).max()
     assert err <= 1e-6
     assert err <= rep.eps_target
+
+
+def test_fused_pa_matches_explicit_factors():
+    # the explicit route: hstack the Pa and Pb factors, contract against A
+    eps = 1e-6
+    for n in (8, 64):
+        for d in (2, 3):
+            inst = tk.random_instance(n, d, 0.8, 100 + n + d)
+            ff, _ = tk.build_F_factors(inst, eps / 2)
+            wf = tk.build_W_factors(inst, tk.build_residual_U2(inst, ff))
+            pa = tk.build_Pa_factors(ff, wf)
+            pb, _ = tk.build_Pb_factors(ff, wf)
+            g1 = inst.A1.T @ np.hstack([pa.U, -pb.U])
+            g2 = inst.A2.T @ np.hstack([pa.V, pb.V])
+            g3 = inst.A3.T @ np.hstack([pa.W, pb.W])
+            want = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
+            got = tk.grad_fast(inst, eps).g_tilde
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, d)
+
+
+def test_rank_admission_before_allocation():
+    # g=33 gives k1=66045, under the cap, but k1*d=264180 is over it; the
+    # feature maps alone would take gigabytes
+    inst = tk.random_instance(2048, 4, 0.8, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="k1\\*d"):
+            tk.grad_fast(inst, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rank_bookkeeping():

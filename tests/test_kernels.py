@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tatkit as tk
+from oracles import feature_rows_loops
 from tatkit import kernels
 
 
@@ -16,15 +17,22 @@ def test_backend_reports():
     assert kernels.backend() in ("numba", "numpy")
 
 
-@needs_numba
-def test_feature_rows_paths_agree():
+def test_feature_rows_matches_oracle():
+    # the parent-times-variable recurrence against prod_t M**alpha_t * w
+    # entry by entry, with exact zeros and negative entries in every column
     rng = np.random.default_rng(0)
-    m = rng.uniform(-2, 2, (7, 3))
-    exps = rng.integers(0, 4, (11, 3))
-    w = rng.uniform(0.1, 2.0, 11)
-    a = kernels.feature_rows(m, exps, w)
-    b = kernels.feature_rows_np(m, exps, w)
-    assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    for d in (1, 2, 3, 4):
+        m = rng.uniform(-1.5, 1.5, (4, d))
+        m[1, 0] = 0.0
+        m[2] = 0.0
+        m[3] = -np.abs(m[3])
+        for g in (0, 1, 7, 24):
+            b = tk.build_basis(d, g)
+            for weighting, w in (("full", b.series_weights), ("none", np.ones(b.size))):
+                got = tk.feature_map(m, b, weighting)
+                want = feature_rows_loops(m, b.exponents, w)
+                assert got.shape == (4, b.size)
+                assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all(), (d, g, weighting)
 
 
 @needs_numba

@@ -69,6 +69,24 @@ def test_basis_count_law():
             assert tk.build_basis(d, g).size == math.comb(d + g, g)
 
 
+def test_basis_parent_recurrence_and_cache():
+    for d, g in ((1, 5), (2, 7), (3, 6), (4, 4)):
+        b = tk.build_basis(d, g)
+        assert b.parents[0] == -1 and b.variables[0] == -1
+        for i in range(1, b.size):
+            p, v = b.parents[i], b.variables[i]
+            assert b.degrees[p] == b.degrees[i] - 1
+            assert (b.exponents[i] - b.exponents[p] == np.eye(d, dtype=int)[v]).all()
+        for m in range(g + 1):
+            lo, hi = b.degree_bounds[m], b.degree_bounds[m + 1]
+            assert (b.degrees[lo:hi] == m).all()
+        assert b.degree_bounds[-1] == b.size
+        assert tk.build_basis(d, g) is b
+        for a in (b.exponents, b.weights, b.series_weights, b.degrees,
+                  b.parents, b.variables, b.degree_bounds):
+            assert not a.flags.writeable
+
+
 def test_basis_rank_cap():
     with pytest.raises(ValidationError, match="rank cap"):
         tk.build_basis(30, 30)
