@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import exact, fastgrad, fileio, hardness, kernels
+from . import exact, fastgrad, fileio, hardness
 from .errors import NumericalError, ToleranceError, ValidationError
 from .instance import random_instance
 
@@ -41,8 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     p = _Parser(prog="tat", description=__doc__)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count for parallelizable kernels (1 = bit-reproducible)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a random instance file")
@@ -239,7 +237,6 @@ def main(argv=None):
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    kernels.set_threads(args.threads)
     try:
         return _DISPATCH[args.cmd](args)
     except ValidationError as e:

@@ -1,8 +1,9 @@
 """Exact dense engine: forward pass, loss, intermediates, closed-form gradient.
 
-Everything here materializes (or, on the jitted path, streams over) the full
-n x n^2 attention matrix, so it is cubic in n and guarded by a sequence cap.
-It serves as the ground-truth oracle for the low-rank engine.
+Everything here materializes the full n x n^2 attention matrix, so it is
+cubic in n and guarded by a sequence cap.  It serves as the ground-truth
+oracle for the low-rank engine.  Every path builds its softmax arguments
+through ``_scores``, which holds the cap and exp-limit checks.
 """
 
 import os
@@ -10,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericalError, ValidationError
-from .instance import AttnInstance
 from .tensorops import col_kron, kron
 
 DEFAULT_EXACT_CAP = 256
@@ -51,6 +50,28 @@ def _check_exp_bound(q, k1, k2):
     return bound
 
 
+def _scores(inst, x=None):
+    """The n x n^2 softmax arguments, after the cap and exp-limit checks.
+
+    By default they come from the projections, ``(Q / d) @ col_kron(K1, K2).T``,
+    checked against the a-priori bound.  A composite ``x`` (d x d^2) replaces
+    the one derived from X1, X2, X3; those scores are checked against their
+    realised maximum.
+    """
+    _check_cap(inst.n)
+    if x is None:
+        q, k1, k2, _, _ = inst.projected()
+        _check_exp_bound(q, k1, k2)
+        return (q / inst.d) @ col_kron(k1, k2).T
+    scores = (inst.A1 @ x) @ kron(inst.A2, inst.A3).T / inst.d
+    amax = float(np.abs(scores).max()) if scores.size else 0.0
+    if amax > EXP_ARG_LIMIT:
+        raise NumericalError(
+            f"softmax argument bound {amax:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
+        )
+    return scores
+
+
 def _softmax_rows(scores):
     m = scores.max(axis=1)
     a = np.exp(scores - m[:, None])
@@ -66,19 +87,7 @@ def attention_weights(inst, x_override=None):
     With ``x_override`` the composite d x d^2 variable replaces the one
     derived from X1, X2, X3 (used by the finite-difference oracle).
     """
-    _check_cap(inst.n)
-    if x_override is None:
-        q, k1, k2, _, _ = inst.projected()
-        _check_exp_bound(q, k1, k2)
-        scores = (q / inst.d) @ col_kron(k1, k2).T
-    else:
-        scores = (inst.A1 @ x_override) @ kron(inst.A2, inst.A3).T / inst.d
-        amax = float(np.abs(scores).max()) if scores.size else 0.0
-        if amax > EXP_ARG_LIMIT:
-            raise NumericalError(
-                f"softmax argument bound {amax:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
-            )
-    f, _ = _softmax_rows(scores)
+    f, _ = _softmax_rows(_scores(inst, x_override))
     return f
 
 
@@ -89,14 +98,7 @@ def _value_matrix(inst):
 
 def forward(inst):
     """Attention output F @ H, shape n x d."""
-    _check_cap(inst.n)
-    q, k1, k2, v1, v2 = inst.projected()
-    _check_exp_bound(q, k1, k2)
-    if kernels.NUMBA_ENABLED:
-        return kernels.attn_forward_stream(q / inst.d, k1, k2, v1, v2)
-    scores = (q / inst.d) @ col_kron(k1, k2).T
-    f, _ = _softmax_rows(scores)
-    return f @ col_kron(v1, v2)
+    return attention_weights(inst) @ _value_matrix(inst)
 
 
 def loss(inst):
@@ -106,8 +108,7 @@ def loss(inst):
 
 
 def _loss_given_x(inst, x):
-    scores = (inst.A1 @ x) @ kron(inst.A2, inst.A3).T / inst.d
-    f, _ = _softmax_rows(scores)
+    f, _ = _softmax_rows(_scores(inst, x))
     r = f @ _value_matrix(inst) - inst.E
     return 0.5 * float((r * r).sum())
 
@@ -131,12 +132,8 @@ class ExactIntermediates:
 
 
 def compute_intermediates(inst):
-    _check_cap(inst.n)
-    q, k1, k2, v1, v2 = inst.projected()
-    _check_exp_bound(q, k1, k2)
-    scores = (q / inst.d) @ col_kron(k1, k2).T
-    f, d_diag = _softmax_rows(scores)
-    h = col_kron(v1, v2)
+    f, d_diag = _softmax_rows(_scores(inst))
+    h = _value_matrix(inst)
     vres = f @ h - inst.E
     w = vres @ h.T
     fw = f * w
@@ -151,15 +148,7 @@ def grad_exact(inst):
     Computed as ``A1.T @ P @ (A2 kron A3) / d`` with the Kronecker factor
     contracted axis by axis instead of materialized.
     """
-    _check_cap(inst.n)
     n, d = inst.n, inst.d
-    q, k1, k2, v1, v2 = inst.projected()
-    _check_exp_bound(q, k1, k2)
-    if kernels.NUMBA_ENABLED:
-        tp = kernels.grad_row_contract_stream(
-            q / d, k1, k2, v1, v2, inst.E, inst.A2, inst.A3
-        )
-        return (inst.A1.T @ tp.reshape(n, d * d)) / d
     inter = compute_intermediates(inst)
     p3 = inter.P.reshape(n, n, n)
     t1 = np.tensordot(p3, inst.A2, axes=(1, 0))         # (n, n, d): sum over j

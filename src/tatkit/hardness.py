@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, ValidationError
-
-EXP_ARG_LIMIT = 700.0
+from .exact import EXP_ARG_LIMIT
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,3 @@ def test_grad_out_file(tmp_path):
     rows = out.read_text().strip().split("\n")
     assert len(rows) == 2 and len(rows[0].split()) == 4
 
-
-def test_threads_flag_roundtrip():
-    from tatkit import kernels
-    assert cli.main(["--threads", "1", "gen", "--n", "1", "--d", "1",
-                     "--out", "/dev/null"]) == 0
-    assert kernels.get_threads() == 1
