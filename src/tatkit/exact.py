@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .lowrank import softmax_arg_bound
 from .tensorops import col_kron, kron
 
 DEFAULT_EXACT_CAP = 256
@@ -40,32 +41,36 @@ def _check_cap(n):
 
 
 def _check_exp_bound(q, k1, k2):
-    # every softmax argument is bounded by ||Q||_inf ||K1||_inf ||K2||_inf
-    # (d terms of size bound^3 / d each)
-    bound = float(np.abs(q).max() * np.abs(k1).max() * np.abs(k2).max())
-    if bound > EXP_ARG_LIMIT:
+    # every softmax argument is bounded by the row bound R that also sets the
+    # fast engine's degree (lowrank.softmax_arg_bound); an overflowed
+    # projection makes R nan, which must fail too
+    bound = softmax_arg_bound(q, k1, k2)
+    if not bound <= EXP_ARG_LIMIT:
         raise NumericalError(
             f"softmax argument bound {bound:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
         )
     return bound
 
 
-def _scores(inst, x=None):
+def _scores(inst, x=None, a23=None):
     """The n x n^2 softmax arguments, after the cap and exp-limit checks.
 
     By default they come from the projections, ``(Q / d) @ col_kron(K1, K2).T``,
-    checked against the a-priori bound.  A composite ``x`` (d x d^2) replaces
-    the one derived from X1, X2, X3; those scores are checked against their
-    realised maximum.
+    checked against the a-priori row bound.  A composite ``x`` (d x d^2)
+    replaces the one derived from X1, X2, X3; those scores are checked
+    against their realised maximum.  ``a23`` is ``kron(A2, A3)``, built here
+    when not given.
     """
     _check_cap(inst.n)
     if x is None:
         q, k1, k2, _, _ = inst.projected()
         _check_exp_bound(q, k1, k2)
         return (q / inst.d) @ col_kron(k1, k2).T
-    scores = (inst.A1 @ x) @ kron(inst.A2, inst.A3).T / inst.d
+    if a23 is None:
+        a23 = kron(inst.A2, inst.A3)
+    scores = (inst.A1 @ x) @ a23.T / inst.d
     amax = float(np.abs(scores).max()) if scores.size else 0.0
-    if amax > EXP_ARG_LIMIT:
+    if not amax <= EXP_ARG_LIMIT:
         raise NumericalError(
             f"softmax argument bound {amax:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
         )
@@ -107,9 +112,10 @@ def loss(inst):
     return 0.5 * float((r * r).sum())
 
 
-def _loss_given_x(inst, x):
-    f, _ = _softmax_rows(_scores(inst, x))
-    r = f @ _value_matrix(inst) - inst.E
+def _loss_given_x(inst, x, a23, h):
+    # a23 = kron(A2, A3) and h = _value_matrix(inst) do not depend on x
+    f, _ = _softmax_rows(_scores(inst, x, a23))
+    r = f @ h - inst.E
     return 0.5 * float((r * r).sum())
 
 
@@ -172,14 +178,16 @@ def grad_fd(inst, step):
         )
     d = inst.d
     x0 = inst.composite_x()
+    a23 = kron(inst.A2, inst.A3)
+    h = _value_matrix(inst)
     g = np.empty((d, d * d))
     for i in range(d):
         for j in range(d * d):
             xp = x0.copy()
             xp[i, j] += step
-            lp = _loss_given_x(inst, xp)
+            lp = _loss_given_x(inst, xp, a23, h)
             xm = x0.copy()
             xm[i, j] -= step
-            lm = _loss_given_x(inst, xm)
+            lm = _loss_given_x(inst, xm, a23, h)
             g[i, j] = (lp - lm) / (2.0 * step)
     return g

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, ValidationError
-from .lowrank import RANK_CAP, LowRankTriple, build_F_factors, f_degree
+from .lowrank import (
+    RANK_CAP, LowRankTriple, build_F_factors, col_abs_max, f_degree, softmax_arg_bound,
+)
 from .tensorops import row_kron
 
 EPS_NOISE_FLOOR = 1e-12
@@ -29,10 +31,11 @@ EPS_NOISE_FLOOR = 1e-12
 class FastGradientReport:
     """Output of :func:`grad_fast` plus rank/ timing/ error bookkeeping.
 
-    ``eps_target`` is a worst-case runtime bound on the gradient error,
-    derived from the requested eps and the instance magnitudes; the measured
-    error is typically far below it.  ``peak_bytes`` is filled only on
-    audited runs.
+    ``arg_bound`` is the bound R on the softmax arguments that set
+    ``degree`` (:func:`~tatkit.lowrank.softmax_arg_bound`).  ``eps_target``
+    is a worst-case runtime bound on the gradient error, derived from the
+    requested eps and the instance magnitudes; the measured error is
+    typically far below it.  ``peak_bytes`` is filled only on audited runs.
     """
 
     g_tilde: np.ndarray
@@ -42,6 +45,7 @@ class FastGradientReport:
     k4: int
     k5: int
     degree: int
+    arg_bound: float
     eps_requested: float
     eps_internal: float
     eps_target: float
@@ -49,25 +53,30 @@ class FastGradientReport:
     peak_bytes: int = 0
 
 
-def build_residual_U2(inst, f_factors):
+def build_residual_U2(inst, f_factors, proj=None):
     """Residual U2 = U1 @ ((V1.T @ A4 Y1) * (W1.T @ A5 Y2)) - E, shape n x d.
 
     The middle factor applies the Gram trick, so the cost is O(n k1 d) and
-    the n^2-row value matrix never exists.
+    the n^2-row value matrix never exists.  ``proj`` is the tuple
+    ``inst.projected()`` returns, computed here when not given.
     """
-    _, _, _, v1h, v2h = inst.projected()
+    _, _, _, v1h, v2h = inst.projected() if proj is None else proj
     mid = (f_factors.V.T @ v1h) * (f_factors.W.T @ v2h)
     return f_factors.U @ mid - inst.E
 
 
-def build_W_factors(inst, u2):
-    """Factor triple for W: (U2, A4 Y1, A5 Y2), rank d (exact given U2)."""
+def build_W_factors(inst, u2, proj=None):
+    """Factor triple for W: (U2, A4 Y1, A5 Y2), rank d (exact given U2).
+
+    ``proj`` is the tuple ``inst.projected()`` returns, computed here when
+    not given.
+    """
     u2 = np.asarray(u2, dtype=np.float64)
     if u2.shape != (inst.n, inst.d):
         raise ValidationError(
             f"u2 must have shape ({inst.n}, {inst.d}), got {u2.shape}"
         )
-    _, _, _, v1h, v2h = inst.projected()
+    _, _, _, v1h, v2h = inst.projected() if proj is None else proj
     return LowRankTriple(U=u2, V=v1h, W=v2h)
 
 
@@ -118,15 +127,15 @@ def build_Pb_factors(f_factors, w_factors):
 
 def _colkron_inf_norm(a, b):
     # max |col_kron(a, b)| without forming it: per-column max product
-    return float((np.abs(a).max(axis=0) * np.abs(b).max(axis=0)).max())
+    return float((col_abs_max(a) * col_abs_max(b)).max())
 
 
-def _error_budget(inst, eps_internal, u2):
+def _error_budget(inst, eps_internal, w_factors):
     # worst-case amplification of the entrywise F error through the pipeline;
     # rows of the (approximate) attention matrix sum to 1 and stay in (0, 1]
     n, d = inst.n, inst.d
-    _, _, _, v1h, v2h = inst.projected()
-    h_inf = _colkron_inf_norm(v1h, v2h)
+    u2 = w_factors.U
+    h_inf = _colkron_inf_norm(w_factors.V, w_factors.W)
     delta_f = eps_internal
     delta_v = min(2.0, n * n * delta_f) * h_inf
     w_inf = d * (float(np.abs(u2).max()) + delta_v) * h_inf
@@ -155,9 +164,11 @@ def _audit_named(arrays, limit_entries):
 def grad_fast(inst, eps, audit=False):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
-    The degree and the ranks k1 and k3 = k1*d are fixed first, and an
-    instance whose k1 or k3 is over ``RANK_CAP`` is rejected with
-    ``ValidationError`` before any factor is allocated.
+    The projections are computed once and shared by every stage.  The
+    degree, from the softmax-argument bound R, and the ranks k1 and
+    k3 = k1*d are fixed first, and an instance whose k1 or k3 is over
+    ``RANK_CAP`` is rejected with ``ValidationError`` before any factor is
+    allocated.
 
     ``audit=True`` additionally traces allocations: every named pipeline
     buffer must stay below n^2 entries and the traced peak must stay below
@@ -175,7 +186,9 @@ def grad_fast(inst, eps, audit=False):
         )
     n, d = inst.n, inst.d
     eps_internal = eps / 2.0
-    degree, k1 = f_degree(inst, eps_internal)
+    proj = inst.projected()
+    arg_bound = softmax_arg_bound(*proj[:3])
+    degree, k1 = f_degree(d, arg_bound, eps_internal)
     k2 = d
     k3 = k1 * k2
     if k3 > RANK_CAP:
@@ -192,15 +205,15 @@ def grad_fast(inst, eps, audit=False):
 
     timings = {}
     t = time.perf_counter()
-    f_factors, _ = build_F_factors(inst, eps_internal)
+    f_factors, _ = build_F_factors(inst, eps_internal, proj, arg_bound)
     timings["f_factors"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    u2 = build_residual_U2(inst, f_factors)
+    u2 = build_residual_U2(inst, f_factors, proj)
     timings["residual_u2"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    w_factors = build_W_factors(inst, u2)
+    w_factors = build_W_factors(inst, u2, proj)
     timings["w_factors"] = time.perf_counter() - t
 
     # Pa = W o F has the factors row_kron(U2, U1), row_kron(V2, V1) and
@@ -245,11 +258,12 @@ def grad_fast(inst, eps, audit=False):
                 f"the limit {limit} (three n^2-entry float64 buffers)"
             )
 
-    eps_target = _error_budget(inst, eps_internal, u2)
+    eps_target = _error_budget(inst, eps_internal, w_factors)
     return FastGradientReport(
         g_tilde=g_tilde,
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
         degree=degree,
+        arg_bound=arg_bound,
         eps_requested=eps,
         eps_internal=eps_internal,
         eps_target=eps_target,

@@ -11,11 +11,15 @@ two key-side factors.  All series and multinomial weights are placed on the
 query side; the key-side factors V, W carry raw monomials, which is exactly
 what makes ``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
 
-The degree is chosen from the Lagrange remainder ``e^R R^(g+1) / (g+1)!`` on
-the argument range [-R, R], with the extra requirement that the remainder be
-below ``e^-R`` so every approximated attention weight stays positive and the
-row normalizer cannot vanish.  The row normalizer is folded into the U
-factor, so the approximated attention rows sum to exactly 1.
+The argument range [-R, R] comes from the row bound of
+:func:`softmax_arg_bound`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
+max_l |k2_l,a|, which dominates every |<q_j0, k1_j * k2_l>| / d.  The exact
+engine checks the same R against its exp limit.  The degree is chosen from
+the Lagrange remainder ``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra
+requirement that the remainder be below ``e^-R`` so every approximated
+attention weight stays positive and the row normalizer cannot vanish.  The
+row normalizer is folded into the U factor, so the approximated attention
+rows sum to exactly 1.
 """
 
 import functools
@@ -276,23 +280,42 @@ class LowRankTriple:
         return out
 
 
-def f_degree(inst, eps):
+def col_abs_max(m):
+    """Largest absolute entry of each column of an n x d matrix, as a d-vector.
+
+    Reduces a contiguous transposed copy along its rows, which numpy does
+    about ten times faster than ``np.abs(m).max(axis=0)`` on a tall, narrow
+    C-ordered matrix; the result is the same bit for bit.
+    """
+    return np.abs(np.ascontiguousarray(m.T)).max(axis=1)
+
+
+def softmax_arg_bound(q, k1, k2):
+    """Row bound R on every softmax argument |<q_j0, k1_j * k2_l>| / d.
+
+    R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| * max_l |k2_l,a|: each
+    term of the inner product is bounded by its column maxima on the key
+    sides.  Costs O(n d) and never forms a key pair.
+    """
+    d = q.shape[1]
+    return float((np.abs(q) @ (col_abs_max(k1) * col_abs_max(k2))).max()) / d
+
+
+def f_degree(d, r, eps):
     """Degree g and rank k1 = C(d+g, g) of the attention factors at ``eps``.
 
-    The argument range is bounded by the cube of the largest projected entry;
-    the degree then follows from :func:`choose_degree`.  Raises
-    ``ValidationError`` when k1 is over ``RANK_CAP``.  Costs O(n d^2) and
-    allocates only the projected inputs, so callers can admit or reject an
-    instance before any feature map exists.
+    ``r`` bounds every softmax argument in absolute value (see
+    :func:`softmax_arg_bound`); the degree follows from :func:`choose_degree`
+    on [-r, r].  Raises ``ValidationError`` when k1 is over ``RANK_CAP``.
+    Allocates nothing, so callers can admit or reject an instance before any
+    feature map exists.
     """
     if not (0 < eps < 1):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    b = inst.b_eff()
-    r = b ** 3
     if not math.isfinite(r):
-        raise ValidationError(f"projected entry bound {b:.6g} is too large")
+        raise ValidationError(f"softmax argument bound {r:.6g} is too large")
     g = choose_degree(r, eps)
-    size = math.comb(inst.d + g, g)
+    size = math.comb(d + g, g)
     if size > RANK_CAP:
         raise ValidationError(
             f"required degree g={g} gives rank k1={size}, over the cap {RANK_CAP}; "
@@ -301,16 +324,19 @@ def f_degree(inst, eps):
     return g, size
 
 
-def build_F_factors(inst, eps):
+def build_F_factors(inst, eps, proj=None, r=None):
     """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
 
     Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The degree comes from :func:`f_degree`.  The materialized
-    product is entrywise within ``eps`` of the exact attention matrix on the
-    validity range.
+    into U1.  The degree comes from :func:`f_degree` on the bound ``r``.  The
+    materialized product is entrywise within ``eps`` of the exact attention
+    matrix.  ``proj`` (the tuple ``inst.projected()`` returns) and ``r``
+    (its :func:`softmax_arg_bound`) are computed here when not given.
     """
-    g, _ = f_degree(inst, eps)
-    q, k1, k2, _, _ = inst.projected()
+    q, k1, k2, _, _ = inst.projected() if proj is None else proj
+    if r is None:
+        r = softmax_arg_bound(q, k1, k2)
+    g, _ = f_degree(inst.d, r, eps)
     basis = build_basis(inst.d, g)
     u_raw = feature_map(q / inst.d, basis, "full")
     v1 = feature_map(k1, basis, "none")

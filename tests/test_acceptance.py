@@ -121,14 +121,15 @@ def _bench_rows(tmp_path, engine, ns, repeats):
         "--seed", "0", "--csv", str(out),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    return {int(r["n"]): float(r["wall_seconds"]) for r in rows}
+    return {int(r["n"]): r for r in csv.DictReader(io.StringIO(out.read_text()))}
 
 
 def test_criterion_5_scaling_separation(tmp_path):
     t0 = time.perf_counter()
-    fast = _bench_rows(tmp_path, "fast", (256, 512, 1024, 2048), repeats=5)
-    slow = _bench_rows(tmp_path, "exact", (32, 64, 128), repeats=5)
+    fast_rows = _bench_rows(tmp_path, "fast", (256, 512, 1024, 2048), repeats=5)
+    slow_rows = _bench_rows(tmp_path, "exact", (32, 64, 128), repeats=5)
+    fast = {n: float(r["wall_seconds"]) for n, r in fast_rows.items()}
+    slow = {n: float(r["wall_seconds"]) for n, r in slow_rows.items()}
     fast_slope = _slope(sorted(fast), [fast[n] for n in sorted(fast)])
     exact_slope = _slope(sorted(slow), [slow[n] for n in sorted(slow)])
 
@@ -139,11 +140,13 @@ def test_criterion_5_scaling_separation(tmp_path):
     walls = "; ".join(
         f"{name} " + ", ".join(f"n={n}: {rows[n] * 1e3:.3g} ms" for n in sorted(rows))
         for name, rows in (("exact", slow), ("fast", fast)))
+    ranks = ", ".join(f"n={n}: g={r['degree_g']} k1={r['k1']}"
+                      for n, r in sorted(fast_rows.items()))
     _verdict("criterion 5", ok, elapsed, 300.0,
              f"fast slope {fast_slope:.2f} <= 1.25, exact slope "
              f"{exact_slope:.2f} >= 2.5, fast n=2048 in {fast[2048]:.3f}s < 60s, "
              f"audited peak {audit.peak_bytes / 1e6:.1f} MB with no n^2 buffer "
-             f"[walls: {walls}]")
+             f"[walls: {walls}] [fast ranks: {ranks}]")
 
 
 def test_criterion_6_hardness_bounds():

@@ -148,6 +148,29 @@ def test_grad_fd_noise_floor_and_convergence():
     assert fine < coarse / 5
 
 
+def test_grad_fd_matches_loss_loop():
+    # reference: every loss evaluation rebuilds its constants through the
+    # public attention_weights; grad_fd must agree bit for bit
+    step = 1e-5
+    for d in (1, 2, 3):
+        inst = _instance(6, d, 20 + d, bound=0.8)
+        h = tk.col_kron(inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
+
+        def loss_at(x):
+            r = exact.attention_weights(inst, x) @ h - inst.E
+            return 0.5 * float((r * r).sum())
+
+        x0 = inst.composite_x()
+        want = np.empty((d, d * d))
+        for i in range(d):
+            for j in range(d * d):
+                xp, xm = x0.copy(), x0.copy()
+                xp[i, j] += step
+                xm[i, j] -= step
+                want[i, j] = (loss_at(xp) - loss_at(xm)) / (2.0 * step)
+        assert np.array_equal(tk.grad_fd(inst, step), want), d
+
+
 def test_grad_fd_caps():
     with pytest.raises(ValidationError, match="capped"):
         tk.grad_fd(_instance(9, 2, 0), 1e-5)
@@ -191,6 +214,33 @@ def test_caps_and_overflow_guard(monkeypatch):
                              X3=np.array([[100.0]]), Y1=big.Y1, Y2=big.Y2)
     with pytest.raises(NumericalError, match="exceeds exp limit"):
         tk.forward(scaled)
+
+
+def _diagonal_instance(c):
+    # Q = c I, K1 = diag(10, 1), K2 = diag(1, 10): the largest argument is
+    # c * 10 / 2, attained, while |Q|max |K1|max |K2|max = 100 c
+    eye = np.eye(2)
+    return tk.AttnInstance(n=2, d=2, A1=c * eye, A2=np.diag([10.0, 1.0]),
+                           A3=np.diag([1.0, 10.0]), A4=eye, A5=eye,
+                           E=np.zeros((2, 2)), X1=eye, X2=eye, X3=eye, Y1=eye, Y2=eye)
+
+
+def test_exp_guard_uses_row_bound():
+    inst = _diagonal_instance(20.0)  # R = 100, old product 2000
+    assert float(np.abs(exact._scores(inst)).max()) == 100.0
+    g = tk.grad_exact(inst)
+    assert np.isfinite(g).all() and np.isfinite(tk.forward(inst)).all()
+    with pytest.raises(NumericalError, match="exceeds exp limit"):
+        tk.grad_exact(_diagonal_instance(150.0))  # R = 750
+    # Q overflows to inf and K1 is zero: R and every score are nan
+    one, eye = np.ones((2, 1)), np.eye(1)
+    nan_bound = tk.AttnInstance(n=2, d=1, A1=1e200 * one, A2=0 * one, A3=one,
+                                A4=one, A5=one, E=0 * one, X1=1e200 * eye,
+                                X2=eye, X3=eye, Y1=eye, Y2=eye)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
+        tk.forward(nan_bound)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
+        exact.attention_weights(nan_bound, 1e200 * eye)
 
 
 def test_instance_validation():

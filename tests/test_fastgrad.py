@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import fastgrad
+from tatkit import fastgrad, lowrank
 from tatkit.errors import ValidationError
 
 
@@ -174,9 +174,9 @@ def test_fused_pa_matches_explicit_factors():
 
 
 def test_rank_admission_before_allocation():
-    # g=33 gives k1=66045, under the cap, but k1*d=264180 is over it; the
-    # feature maps alone would take gigabytes
-    inst = tk.random_instance(2048, 4, 0.8, 0)
+    # R=6.66 needs g=32, so k1=58905 is under the cap but k1*d=235620 is
+    # over it; the feature maps alone would take gigabytes
+    inst = tk.random_instance(2048, 4, 1.05, 0)
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="k1\\*d"):
@@ -185,6 +185,19 @@ def test_rank_admission_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_grad_fast_projects_once(monkeypatch):
+    calls = []
+    projected = tk.AttnInstance.projected
+
+    def counted(self):
+        calls.append(self)
+        return projected(self)
+
+    monkeypatch.setattr(tk.AttnInstance, "projected", counted)
+    tk.grad_fast(tk.random_instance(16, 2, 0.8, 3), 1e-6)
+    assert len(calls) == 1
 
 
 def test_rank_bookkeeping():
@@ -213,6 +226,9 @@ def test_report_contents():
     assert rep.eps_requested == 1e-6
     assert rep.eps_internal == 5e-7
     assert rep.eps_target > 0
+    q, k1, k2, _, _ = inst.projected()
+    assert rep.arg_bound == lowrank.softmax_arg_bound(q, k1, k2)
+    assert rep.degree == tk.choose_degree(rep.arg_bound, rep.eps_internal)
     assert set(rep.stage_timings) == {
         "f_factors", "residual_u2", "w_factors", "pa_factors",
         "pb_factors", "assemble",

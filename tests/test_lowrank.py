@@ -161,11 +161,16 @@ def test_build_f_factors_error_contract():
     assert np.abs(triple.materialize() - f).max() <= 1e-8
 
 
+def _arg_bound(inst):
+    q, k1, k2, _, _ = inst.projected()
+    return lowrank.softmax_arg_bound(q, k1, k2)
+
+
 def test_build_f_factors_rank_law_and_row_sums():
     inst = tk.random_instance(8, 2, 0.8, 2)
     for eps in (1e-4, 1e-6, 1e-8):
         triple, _ = tk.build_F_factors(inst, eps)
-        g = tk.choose_degree(inst.b_eff() ** 3, eps)
+        g = tk.choose_degree(_arg_bound(inst), eps)
         assert triple.k == math.comb(inst.d + g, g)
         rowsums = triple.materialize().sum(axis=1)
         assert np.abs(rowsums - 1.0).max() <= 1e-12
@@ -174,12 +179,49 @@ def test_build_f_factors_rank_law_and_row_sums():
 def test_build_f_factors_rank_report_shape():
     # d=2 with degree 9 must give 55 columns on each factor
     inst = tk.random_instance(4, 2, 0.8, 4)
-    b = inst.b_eff()
-    eps = _remainder(b ** 3, 9) * 1.001  # lands exactly on degree 9
-    g = tk.choose_degree(b ** 3, eps)
+    r = _arg_bound(inst)
+    eps = _remainder(r, 9) * 1.001  # lands exactly on degree 9
+    g = tk.choose_degree(r, eps)
     triple, _ = tk.build_F_factors(inst, eps)
     assert g == 9 and triple.k == 55
     assert triple.U.shape == triple.V.shape == triple.W.shape == (4, 55)
+
+
+def _blocks(inst, **over):
+    blocks = {k: getattr(inst, k) for k in
+              ("A1", "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")}
+    blocks.update(over)
+    return tk.AttnInstance(n=inst.n, d=inst.d, **blocks)
+
+
+def test_softmax_arg_bound_is_rigorous():
+    # b_eff^3 >= R >= every realised softmax argument
+    cases = []
+    for d in (1, 2, 3, 4):
+        for seed in range(3):
+            inst = tk.random_instance(6, d, 0.9, 40 * d + seed)
+            cases.append(inst)
+            # nonpositive A1, A2, A3 and X1
+            cases.append(_blocks(inst, A1=-np.abs(inst.A1), A2=-np.abs(inst.A2),
+                                 A3=-np.abs(inst.A3), X1=-np.abs(inst.X1)))
+            # zero rows on the query and key sides
+            a1, a2 = inst.A1.copy(), inst.A2.copy()
+            a1[0] = 0.0
+            a2[1:3] = 0.0
+            cases.append(_blocks(inst, A1=a1, A2=a2))
+            # perfbench's check-instance shape: A1 zero outside four rows,
+            # every A3 row equal
+            a1 = np.zeros_like(inst.A1)
+            a1[:4] = inst.A1[:4]
+            cases.append(_blocks(inst, A1=a1, A3=np.repeat(inst.A3[:1], 6, axis=0)))
+    zero = cases[0]
+    cases.append(_blocks(zero, A1=np.zeros_like(zero.A1)))
+    for inst in cases:
+        r = _arg_bound(inst)
+        top = float(np.abs(exact._scores(inst)).max())
+        assert inst.b_eff() ** 3 >= r >= top, (inst.d, r, top)
+        if inst.d == 1:  # one column: the bound is attained
+            assert r == top
 
 
 def test_build_f_factors_validation():
