@@ -23,6 +23,7 @@ FD_REL_GATE = 1e-4
 CSV_COLUMNS = (
     "n", "d", "eps", "degree_g", "k1", "k5",
     "method", "wall_seconds", "linf_err_vs_exact", "seed",
+    "wall_min_seconds", "wall_spread_seconds",
 )
 
 # test hook: added to the fast gradient before `check` compares engines
@@ -137,14 +138,15 @@ def _cmd_check(args):
     return 0
 
 
-def _median_time(fn, repeats):
+def _wall_times(fn, repeats):
+    """Median, min and spread (max - min) of ``repeats`` timed calls after a warm-up."""
     fn()  # warm-up, excluded
     times = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return statistics.median(times), min(times), max(times) - min(times)
 
 
 def _cmd_bench(args):
@@ -160,12 +162,12 @@ def _cmd_bench(args):
     for n in ns:
         inst = random_instance(n, args.d, args.bound, args.seed)
         if args.engine == "exact":
-            wall = _median_time(lambda: exact.grad_exact(inst), args.repeats)
+            wall, lo, spread = _wall_times(lambda: exact.grad_exact(inst), args.repeats)
             row = [n, args.d, repr(args.eps), "", "", "",
                    "exact", repr(wall), "", args.seed]
         else:
             report = fastgrad.grad_fast(inst, args.eps)
-            wall = _median_time(
+            wall, lo, spread = _wall_times(
                 lambda: fastgrad.grad_fast(inst, args.eps), args.repeats
             )
             if n <= exact.exact_cap():
@@ -175,7 +177,7 @@ def _cmd_bench(args):
                 err_s = ""
             row = [n, args.d, repr(args.eps), report.degree, report.k1,
                    report.k5, "fast", repr(wall), err_s, args.seed]
-        writer.writerow(row)
+        writer.writerow(row + [repr(lo), repr(spread)])
         print(f"bench: n={n} engine={args.engine} wall={wall:.6g}s",
               file=sys.stderr)
     _emit(buf.getvalue(), args.csv)

@@ -1,13 +1,31 @@
 """Almost-linear gradient engine.
 
-Builds low-rank factor triples for the attention matrix, the residual-driven
-matrix W, and the two softmax-Jacobian pieces Pa and Pb, and contracts them
-against A1, A2, A3.  No step ever materializes an n x n^2 (or even n x n)
-buffer.  The largest buffers are the n x k1 factors of F and Pb: Pa, of rank
-k1*d, is never materialized in :func:`grad_fast`.  Its factors are row-wise
-Kronecker products, so each of its three contractions runs as one GEMM
-against an n x d^2 scratch (:func:`_contract_row_kron`).  Only the d x k
-results are concatenated.
+The gradient is a sum over the factor triples of F o W (Pa) and of Pb,
+contracted against A1, A2 and A3.  The builders ``build_residual_U2``,
+``build_W_factors``, ``build_Pa_factors`` and ``build_Pb_factors``, with
+:func:`~tatkit.lowrank.build_F_factors`, form those triples explicitly and
+are the specification.  :func:`grad_fast` computes the same contractions
+without them, in five stages:
+
+- ``feature_map``: one raw monomial map Phi of the stacked rows
+  [K1; K2; Q/d], a k1 x 3n buffer.  The series weights c go on the
+  k1-sized results below, never on an n x k1 array.
+- ``key_contract``: one GEMM per key side, Phi(K1)^T against
+  row_kron([A2 | 1], [A4 Y1 | 1]) and Phi(K2)^T against
+  row_kron([A3 | 1], [A5 Y2 | 1]).  Each yields that side's Pa and Pb
+  contractions, its half of the residual's middle factor
+  mid = (V1^T V2) * (W1^T W2), which is also Pb's Gram, and its column
+  sums.
+- ``residual_u2``: one GEMM of Phi(Q/d)^T against c * [mid | s] gives the
+  row normalizer d~ and Y = U1 @ mid; then U2 = Y - E and
+  R~ = rowsum(Y * U2).
+- ``query_contract``: one GEMM of Phi(Q/d)^T against
+  row_kron(A1, [U2 | -R~] / d~), times c, gives the A1 side of Pa and Pb.
+  U1 = Phi(Q/d) diag(c) / d~ is never formed.
+- ``assemble``: the d x d^2 gradient from the three d x k5 contractions.
+
+No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
+the feature buffer, 3 n k1 entries; every other one is O(n d^2).
 """
 
 import time
@@ -17,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, lowrank
 from .errors import NumericalError, ValidationError
-from .lowrank import (
+from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
     RANK_CAP, LowRankTriple, build_F_factors, col_abs_max, f_degree, softmax_arg_bound,
 )
 from .tensorops import row_kron
@@ -31,11 +49,17 @@ EPS_NOISE_FLOOR = 1e-12
 class FastGradientReport:
     """Output of :func:`grad_fast` plus rank/ timing/ error bookkeeping.
 
-    ``arg_bound`` is the bound R on the softmax arguments that set
+    ``k1`` is the feature rank C(d+g, g) at ``degree`` g, ``k2`` = d the rank
+    of W, ``k3`` = k1*d and ``k4`` = k1 the ranks of Pa and Pb, and ``k5``
+    their sum, the length of the contractions the gradient is assembled
+    from.  ``arg_bound`` is the bound R on the softmax arguments that set
     ``degree`` (:func:`~tatkit.lowrank.softmax_arg_bound`).  ``eps_target``
     is a worst-case runtime bound on the gradient error, derived from the
     requested eps and the instance magnitudes; the measured error is
-    typically far below it.  ``peak_bytes`` is filled only on audited runs.
+    typically far below it.  ``stage_timings`` holds the seconds spent in
+    each stage of the module docstring: ``feature_map``, ``key_contract``,
+    ``residual_u2``, ``query_contract`` and ``assemble``.  ``peak_bytes``
+    is filled only on audited runs.
     """
 
     g_tilde: np.ndarray
@@ -94,15 +118,6 @@ def build_Pa_factors(f_factors, w_factors):
         V=row_kron(f_factors.V, w_factors.V),
         W=row_kron(f_factors.W, w_factors.W),
     )
-
-
-def _contract_row_kron(a, b, c):
-    """``a.T @ row_kron(b, c)`` without the n x kb*kc product.
-
-    Computed as ``row_kron(a, b).T @ c``: an n x d*kb scratch and one GEMM,
-    whose d*kb x kc result is, read in C order, the d x kb*kc answer.
-    """
-    return (row_kron(a, b).T @ c).reshape(a.shape[1], -1)
 
 
 def build_Pb_factors(f_factors, w_factors):
@@ -168,7 +183,8 @@ def grad_fast(inst, eps, audit=False):
     degree, from the softmax-argument bound R, and the ranks k1 and
     k3 = k1*d are fixed first, and an instance whose k1 or k3 is over
     ``RANK_CAP`` is rejected with ``ValidationError`` before any factor is
-    allocated.
+    allocated.  The stages are those of the module docstring; the result
+    matches the explicit factor builders within rounding.
 
     ``audit=True`` additionally traces allocations: every named pipeline
     buffer must stay below n^2 entries and the traced peak must stay below
@@ -187,7 +203,8 @@ def grad_fast(inst, eps, audit=False):
     n, d = inst.n, inst.d
     eps_internal = eps / 2.0
     proj = inst.projected()
-    arg_bound = softmax_arg_bound(*proj[:3])
+    q, kq1, kq2, v2, w2 = proj
+    arg_bound = softmax_arg_bound(q, kq1, kq2)
     degree, k1 = f_degree(d, arg_bound, eps_internal)
     k2 = d
     k3 = k1 * k2
@@ -198,6 +215,8 @@ def grad_fast(inst, eps, audit=False):
         )
     k4 = k1
     k5 = k3 + k4
+    basis = lowrank.build_basis(d, degree)
+    c = basis.series_weights
     if audit:
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -205,46 +224,82 @@ def grad_fast(inst, eps, audit=False):
 
     timings = {}
     t = time.perf_counter()
-    f_factors, _ = build_F_factors(inst, eps_internal, proj, arg_bound)
-    timings["f_factors"] = time.perf_counter() - t
+    rows = np.empty((3 * n, d))
+    rows[:n] = kq1
+    rows[n:2 * n] = kq2
+    np.divide(q, d, out=rows[2 * n:])
+    # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q/d) side by side
+    phi_t = lowrank.feature_map(rows, basis, "none").T
+    del rows
+    timings["feature_map"] = time.perf_counter() - t
 
+    # each key side: Phi^T @ row_kron([A | 1], [V | 1]) read as [a, b, :]
+    # over a, b <= d.  a, b < d is the Pa contraction, b = d the Pb column
+    # A^T Phi, a = d the Gram V^T Phi and a = b = d the column sums of Phi.
+    # Operands are built transposed, as rows of length n, so every write is
+    # contiguous.
     t = time.perf_counter()
-    u2 = build_residual_U2(inst, f_factors, proj)
+    key = []
+    for a, v, phi_side in ((inst.A2, v2, phi_t[:, :n]), (inst.A3, w2, phi_t[:, n:2 * n])):
+        key_op = np.empty((d + 1, d + 1, n))
+        np.multiply(a.T[:, None, :], v.T[None, :, :], out=key_op[:d, :d])
+        key_op[:d, d] = a.T
+        key_op[d, :d] = v.T
+        key_op[d, d] = 1.0
+        contracted = phi_side @ key_op.reshape(-1, n).T
+        key.append(contracted.T.reshape(d + 1, d + 1, k1))
+    g2 = key[0][:d].reshape(d, -1)
+    g3 = key[1][:d].reshape(d, -1)
+    # c * [mid^T ; s]: mid = (V1^T V2) * (W1^T W2) is the residual's middle
+    # factor and Pb's Gram alike, s the column sums behind the row normalizer
+    weighted = key[0][d] * key[1][d]
+    weighted *= c
+    timings["key_contract"] = time.perf_counter() - t
+
+    # [Y^T ; 1] * d_tilde in one GEMM, Y = U1 @ mid the attention output
+    t = time.perf_counter()
+    phi_q_t = phi_t[:, 2 * n:]
+    yd = weighted @ phi_q_t
+    d_tilde = yd[d]
+    if (d_tilde <= 0).any():
+        raise NumericalError(
+            "nonpositive row normalizer in the factored attention matrix; "
+            "eps is too coarse for positivity at this entry bound"
+        )
+    y_t = yd[:d] / d_tilde
+    u2_t = y_t - inst.E.T
+    r_tilde = (y_t * u2_t).sum(axis=0)
     timings["residual_u2"] = time.perf_counter() - t
 
+    # query side: Phi(Q/d)^T @ row_kron(A1, [U2 | -R] / d_tilde), times c, is
+    # [Pa | -Pb] contracted against A1, with U1 = Phi(Q/d) diag(c) / d_tilde
     t = time.perf_counter()
-    w_factors = build_W_factors(inst, u2, proj)
-    timings["w_factors"] = time.perf_counter() - t
-
-    # Pa = W o F has the factors row_kron(U2, U1), row_kron(V2, V1) and
-    # row_kron(W2, W1): build_Pa_factors' triple with its columns permuted
-    # alike, which the sum over columns below does not see.  Only their
-    # d x k3 contractions are formed.
-    t = time.perf_counter()
-    pa1 = _contract_row_kron(inst.A1, w_factors.U, f_factors.U)
-    pa2 = _contract_row_kron(inst.A2, w_factors.V, f_factors.V)
-    pa3 = _contract_row_kron(inst.A3, w_factors.W, f_factors.W)
-    timings["pa_factors"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    pb, r_tilde = build_Pb_factors(f_factors, w_factors)
-    timings["pb_factors"] = time.perf_counter() - t
+    z = np.empty((d + 1, n))
+    np.divide(u2_t, d_tilde, out=z[:d])
+    np.divide(r_tilde, d_tilde, out=z[d])
+    np.negative(z[d], out=z[d])
+    query_op = np.empty((d, d + 1, n))
+    np.multiply(inst.A1.T[:, None, :], z[None, :, :], out=query_op)
+    g1 = (phi_q_t @ query_op.reshape(-1, n).T).T * c
+    g1 = g1.reshape(d, -1)
+    timings["query_contract"] = time.perf_counter() - t
 
     if audit:
         _audit_named(
             [
-                ("U1", f_factors.U), ("V1", f_factors.V), ("W1", f_factors.W),
-                ("U2", w_factors.U), ("V2", w_factors.V), ("W2", w_factors.W),
-                ("U4", pb.U), ("R", r_tilde),
+                ("Phi(K1)", phi_t[:, :n]), ("Phi(K2)", phi_t[:, n:2 * n]),
+                ("Phi(Q/d)", phi_q_t), ("key operand", key_op),
+                ("query operand", query_op), ("U2", u2_t), ("R", r_tilde),
             ],
             n * n,
         )
 
     t = time.perf_counter()
-    g1 = np.hstack([pa1, -(inst.A1.T @ pb.U)])
-    g2 = np.hstack([pa2, inst.A2.T @ pb.V])
-    g3 = np.hstack([pa3, inst.A3.T @ pb.W])
-    g_tilde = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
+    # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.  The
+    # Pa columns k run over (W column, F column) pairs, the reverse of
+    # build_Pa_factors' order; the sum does not see the order.
+    g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
+    g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
     timings["assemble"] = time.perf_counter() - t
 
     peak_bytes = 0
@@ -258,7 +313,7 @@ def grad_fast(inst, eps, audit=False):
                 f"the limit {limit} (three n^2-entry float64 buffers)"
             )
 
-    eps_target = _error_budget(inst, eps_internal, w_factors)
+    eps_target = _error_budget(inst, eps_internal, build_W_factors(inst, u2_t.T, proj))
     return FastGradientReport(
         g_tilde=g_tilde,
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,

@@ -9,24 +9,23 @@ operations with no Python loop over rows.
 import numpy as np
 
 
-def feature_rows(M, parents, variables, bounds, weights):
-    """Monomials of each row of ``M`` over a graded basis, times ``weights``.
+def feature_rows(M, size, blocks, weights):
+    """Monomials of each row of ``M`` over a ``size``-entry graded basis, times ``weights``.
 
-    Column 0 is the constant 1, and column i > 0 is column ``parents[i]``
-    times ``M[:, variables[i]]``.  Degree m fills columns
-    ``bounds[m]:bounds[m + 1]`` from parents of degree m - 1 only, so one
-    product per degree builds it.  ``weights=None`` leaves raw monomials.
-    O(n k) work with no buffer larger than the n x k output.
+    Column 0 is the constant 1.  Each row (dst, src, length, v) of
+    ``blocks`` fills columns ``dst:dst + length`` as columns
+    ``src:src + length``, filled earlier, times ``M[:, v]``: one product on
+    contiguous slices, with no gather.  ``weights=None`` leaves raw
+    monomials.  O(n k) work with no buffer larger than the n x k output.
 
-    The result is the transpose of a k x n buffer: gathering whole rows of
-    that buffer is a block copy, where gathering columns of an n x k one is
-    a strided copy per entry.
+    The result is the transpose of a k x n buffer, so each block is a run of
+    whole rows of that buffer.
     """
     mt = np.ascontiguousarray(M.T)
-    out = np.empty((parents.shape[0], M.shape[0]))
+    out = np.empty((size, M.shape[0]))
     out[0] = 1.0
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        np.multiply(out[parents[lo:hi]], mt[variables[lo:hi]], out=out[lo:hi])
+    for dst, src, length, v in blocks.tolist():
+        np.multiply(out[src:src + length], mt[v], out=out[dst:dst + length])
     if weights is not None:
         out *= weights[:, None]
     return out.T

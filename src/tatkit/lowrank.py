@@ -136,7 +136,14 @@ class MonomialBasis:
     ``exponents[i] = exponents[parents[i]] + e_variables[i]``.  Entry 0, the
     constant monomial, has parent and variable -1.  Degree m occupies the
     entries ``degree_bounds[m]:degree_bounds[m + 1]``, and every parent of
-    degree m lies in degree m - 1.  All arrays are read-only.
+    degree m lies in degree m - 1.
+
+    In this order the entries of degree m whose first nonzero variable is v
+    are one contiguous run, and their parents are the last entries of degree
+    m - 1, in the same order.  ``blocks`` lists these runs, one row
+    (dst, src, length, v) per (m, v) with m >= 1: entries
+    ``dst:dst + length`` are entries ``src:src + length`` times variable v.
+    All arrays are read-only.
     """
 
     d: int
@@ -148,6 +155,7 @@ class MonomialBasis:
     parents: np.ndarray = field(default=None)
     variables: np.ndarray = field(default=None)
     degree_bounds: np.ndarray = field(default=None)
+    blocks: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.d < 1:
@@ -192,9 +200,14 @@ class MonomialBasis:
                 deg[i] = m
                 i += 1
         bounds[self.g + 1] = i
+        # a run starts wherever the degree or the first variable changes
+        starts = np.flatnonzero((deg[1:] != deg[:-1]) | (variables[1:] != variables[:-1])) + 1
+        ends = np.append(starts, size)[1:]
+        blocks = np.stack([starts, parents[starts], ends - starts, variables[starts]], axis=1)
         for name, a in (("exponents", exps), ("weights", w), ("series_weights", sw),
                         ("degrees", deg), ("parents", parents),
-                        ("variables", variables), ("degree_bounds", bounds)):
+                        ("variables", variables), ("degree_bounds", bounds),
+                        ("blocks", blocks)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -231,7 +244,7 @@ def feature_map(m, basis, weighting):
         w = None
     else:
         raise ValidationError(f"weighting must be 'full' or 'none', got {weighting!r}")
-    return kernels.feature_rows(m, basis.parents, basis.variables, basis.degree_bounds, w)
+    return kernels.feature_rows(m, basis.size, basis.blocks, w)
 
 
 @dataclass(frozen=True)

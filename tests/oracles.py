@@ -2,7 +2,8 @@
 
 Everything here is written with explicit loops straight from the defining
 formulas, deliberately sharing no code path with the library's vectorized
-implementations.
+implementations.  The one exception is ``feature_rows_gather``, the earlier
+gather form of the feature recurrence, kept as a bit-exact reference.
 """
 
 import math
@@ -56,6 +57,23 @@ def feature_rows_loops(m, exponents, weights):
                 v *= float(m[i, t]) ** int(exponents[j, t])
             out[i, j] = v
     return out
+
+
+def feature_rows_gather(m, parents, variables, bounds, weights):
+    """The feature rows by one fancy-index gather per degree.
+
+    Column i > 0 is column ``parents[i]`` times ``m[:, variables[i]]``, one
+    whole degree ``bounds[g]:bounds[g + 1]`` at a time; every entry is one
+    product, as in the library's slice recurrence, so the two agree bit for bit.
+    """
+    mt = np.ascontiguousarray(m.T)
+    out = np.empty((parents.shape[0], m.shape[0]))
+    out[0] = 1.0
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        np.multiply(out[parents[lo:hi]], mt[variables[lo:hi]], out=out[lo:hi])
+    if weights is not None:
+        out *= weights[:, None]
+    return out.T
 
 
 def odot3_tensor_loops(u, v, w):

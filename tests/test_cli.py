@@ -121,6 +121,8 @@ def test_bench_csv_schema(tmp_path):
         assert int(row[3]) > 0 and int(row[4]) > 0 and int(row[5]) > 0
         assert float(row[8]) <= 1e-6  # err vs exact filled under the cap
         assert row[9] == "3"
+        assert 0 < float(row[10]) <= float(row[7])  # min <= median
+        assert float(row[11]) >= 0.0
 
     rc = cli.main(["bench", "--n-list", "4", "--engine", "exact",
                    "--repeats", "1", "--csv", str(out)])
@@ -128,6 +130,7 @@ def test_bench_csv_schema(tmp_path):
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[1][3] == "" and rows[1][4] == "" and rows[1][5] == ""
     assert rows[1][6] == "exact" and rows[1][8] == ""
+    assert 0 < float(rows[1][10]) <= float(rows[1][7]) and float(rows[1][11]) >= 0.0
 
 
 def test_bench_bad_nlist():

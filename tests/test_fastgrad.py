@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import fastgrad, lowrank
+from tatkit import fastgrad, kernels, lowrank
 from tatkit.errors import ValidationError
 
 
@@ -155,22 +155,28 @@ def test_grad_fast_matches_exact_seed17():
     assert err <= rep.eps_target
 
 
-def test_fused_pa_matches_explicit_factors():
+def test_grad_fast_matches_explicit_factors():
     # the explicit route: hstack the Pa and Pb factors, contract against A
     eps = 1e-6
-    for n in (8, 64):
-        for d in (2, 3):
-            inst = tk.random_instance(n, d, 0.8, 100 + n + d)
-            ff, _ = tk.build_F_factors(inst, eps / 2)
-            wf = tk.build_W_factors(inst, tk.build_residual_U2(inst, ff))
-            pa = tk.build_Pa_factors(ff, wf)
-            pb, _ = tk.build_Pb_factors(ff, wf)
-            g1 = inst.A1.T @ np.hstack([pa.U, -pb.U])
-            g2 = inst.A2.T @ np.hstack([pa.V, pb.V])
-            g3 = inst.A3.T @ np.hstack([pa.W, pb.W])
-            want = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
-            got = tk.grad_fast(inst, eps).g_tilde
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, d)
+    cases = [(n, d, 0.8) for n in (8, 64) for d in (1, 2, 3, 4)]
+    cases += [(2048, 2, 0.8), (64, 3, 1.0)]
+    for n, d, bound in cases:
+        inst = tk.random_instance(n, d, bound, 100 + n + d)
+        ff, _ = tk.build_F_factors(inst, eps / 2)
+        u2 = tk.build_residual_U2(inst, ff)
+        wf = tk.build_W_factors(inst, u2)
+        pa = tk.build_Pa_factors(ff, wf)
+        pb, r_tilde = tk.build_Pb_factors(ff, wf)
+        g1 = inst.A1.T @ np.hstack([pa.U, -pb.U])
+        g2 = inst.A2.T @ np.hstack([pa.V, pb.V])
+        g3 = inst.A3.T @ np.hstack([pa.W, pb.W])
+        want = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
+        got = tk.grad_fast(inst, eps).g_tilde
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, d, bound)
+        # Pb's Gram is the residual's middle factor, so R = rowsum(Y o U2)
+        mid = (ff.V.T @ wf.V) * (ff.W.T @ wf.W)
+        r_direct = ((ff.U @ mid) * u2).sum(axis=1)
+        assert np.abs(r_tilde - r_direct).max() <= 1e-13 * np.abs(r_tilde).max(), (n, d)
 
 
 def test_rank_admission_before_allocation():
@@ -198,6 +204,23 @@ def test_grad_fast_projects_once(monkeypatch):
     monkeypatch.setattr(tk.AttnInstance, "projected", counted)
     tk.grad_fast(tk.random_instance(16, 2, 0.8, 3), 1e-6)
     assert len(calls) == 1
+
+
+def test_grad_fast_one_feature_map_one_degree(monkeypatch):
+    calls = {"feature_rows": 0, "choose_degree": 0, "projected": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "feature_rows", counted("feature_rows", kernels.feature_rows))
+    monkeypatch.setattr(lowrank, "choose_degree", counted("choose_degree", lowrank.choose_degree))
+    monkeypatch.setattr(tk.AttnInstance, "projected",
+                        counted("projected", tk.AttnInstance.projected))
+    tk.grad_fast(tk.random_instance(16, 2, 0.8, 3), 1e-6)
+    assert calls == {"feature_rows": 1, "choose_degree": 1, "projected": 1}
 
 
 def test_rank_bookkeeping():
@@ -230,8 +253,7 @@ def test_report_contents():
     assert rep.arg_bound == lowrank.softmax_arg_bound(q, k1, k2)
     assert rep.degree == tk.choose_degree(rep.arg_bound, rep.eps_internal)
     assert set(rep.stage_timings) == {
-        "f_factors", "residual_u2", "w_factors", "pa_factors",
-        "pb_factors", "assemble",
+        "feature_map", "key_contract", "residual_u2", "query_contract", "assemble",
     }
     assert all(t >= 0 for t in rep.stage_timings.values())
     assert rep.g_tilde.shape == (2, 4)
@@ -245,6 +267,17 @@ def test_allocation_audit():
     # audited result identical to the unaudited one
     plain = tk.grad_fast(inst, 1e-6)
     assert (rep.g_tilde == plain.g_tilde).all()
+
+
+def test_peak_memory_is_features_plus_operands():
+    # the fused path holds the three n x k1 feature maps and, per row, the
+    # key operand's (d+1)^2 entries plus the query side's Y, U2, R, its
+    # scaled [U2 | -R] and operand, under 3 (d+1)^2 more; no other n x k1
+    # buffer may exist at any point
+    n, d = 8192, 3
+    rep = tk.grad_fast(tk.random_instance(n, d, 0.8, 1), 1e-6, audit=True)
+    bound = 8 * (3 * n * rep.k1 + 4 * n * (d + 1) ** 2)
+    assert 0 < rep.peak_bytes < bound, (rep.peak_bytes, bound, rep.k1)
 
 
 def test_oracle_equivalence_sample():

@@ -1,7 +1,7 @@
 import numpy as np
 
 import tatkit as tk
-from oracles import feature_rows_loops
+from oracles import feature_rows_gather, feature_rows_loops
 
 
 def test_feature_rows_matches_oracle():
@@ -20,3 +20,17 @@ def test_feature_rows_matches_oracle():
                 want = feature_rows_loops(m, b.exponents, w)
                 assert got.shape == (4, b.size)
                 assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all(), (d, g, weighting)
+
+
+def test_feature_map_matches_gather_bit_for_bit():
+    # the slice recurrence does the same products as one gather per degree
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 3, 5):
+        m = rng.uniform(-1.5, 1.5, (37, d))
+        m[5] = 0.0
+        for g in (0, 1, 6, 12):
+            b = tk.build_basis(d, g)
+            for weighting, w in (("full", b.series_weights), ("none", None)):
+                got = tk.feature_map(m, b, weighting)
+                want = feature_rows_gather(m, b.parents, b.variables, b.degree_bounds, w)
+                assert np.array_equal(got, want), (d, g, weighting)

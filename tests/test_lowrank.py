@@ -87,6 +87,24 @@ def test_basis_parent_recurrence_and_cache():
             assert not a.flags.writeable
 
 
+def test_basis_blocks_reproduce_recurrence():
+    # each (degree, first variable) run is a contiguous slice whose parents
+    # are a contiguous slice of the previous degree; together they cover 1..size
+    for d in range(1, 6):
+        for g in range(13):
+            b = tk.build_basis(d, g)
+            assert b.blocks.shape == (g * d, 4)
+            assert not b.blocks.flags.writeable
+            covered = np.zeros(b.size, dtype=int)
+            for dst, src, length, v in b.blocks:
+                assert length > 0
+                assert (b.parents[dst:dst + length] == np.arange(src, src + length)).all()
+                assert (b.variables[dst:dst + length] == v).all()
+                assert b.degrees[src] == b.degrees[dst] - 1
+                covered[dst:dst + length] += 1
+            assert covered[0] == 0 and (covered[1:] == 1).all(), (d, g)
+
+
 def test_basis_rank_cap():
     with pytest.raises(ValidationError, match="rank cap"):
         tk.build_basis(30, 30)
