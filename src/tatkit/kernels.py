@@ -9,14 +9,14 @@ operations with no Python loop over rows.
 import numpy as np
 
 
-def feature_rows(M, size, blocks, weights):
-    """Monomials of each row of ``M`` over a ``size``-entry graded basis, times ``weights``.
+def feature_rows(M, size, blocks):
+    """Raw monomials of each row of ``M`` over a ``size``-entry graded basis.
 
     Column 0 is the constant 1.  Each row (dst, src, length, v) of
     ``blocks`` fills columns ``dst:dst + length`` as columns
     ``src:src + length``, filled earlier, times ``M[:, v]``: one product on
-    contiguous slices, with no gather.  ``weights=None`` leaves raw
-    monomials.  O(n k) work with no buffer larger than the n x k output.
+    contiguous slices, with no gather.  O(n k) work with no buffer larger
+    than the n x k output.
 
     The result is the transpose of a k x n buffer, so each block is a run of
     whole rows of that buffer.
@@ -26,8 +26,6 @@ def feature_rows(M, size, blocks, weights):
     out[0] = 1.0
     for dst, src, length, v in blocks.tolist():
         np.multiply(out[src:src + length], mt[v], out=out[dst:dst + length])
-    if weights is not None:
-        out *= weights[:, None]
     return out.T
 
 

@@ -7,9 +7,11 @@ into an inner product of monomial feature vectors:
     exp(<q, k>) ~ sum_{|alpha| <= g}  (q^alpha / prod_t alpha_t!) * k^alpha,
 
 where k = k1 * k2 entrywise, so k^alpha = k1^alpha * k2^alpha splits into the
-two key-side factors.  All series and multinomial weights are placed on the
-query side; the key-side factors V, W carry raw monomials, which is exactly
-what makes ``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
+two key-side factors.  :func:`feature_map` returns raw monomials.  The series
+weights 1/alpha! (``MonomialBasis.series_weights``) have two readers, both on
+the query side: :func:`build_F_factors` multiplies its U by them and
+``fastgrad.grad_fast`` its k1-sized contractions.  The raw key-side V, W make
+``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
 
 The argument range [-R, R] comes from the row bound of
 :func:`softmax_arg_bound`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
@@ -50,6 +52,8 @@ def choose_degree(r, eps):
     the remainder below ``e^-r`` (the positivity guard).  Always terminates:
     the factorial beats the power.
     """
+    if not math.isfinite(r):
+        raise ValidationError(f"range must be finite, got {r}")
     if r < 0:
         raise ValidationError(f"range must be nonnegative, got {r}")
     if not (0 < eps < 1):
@@ -81,7 +85,8 @@ def choose_degree(r, eps):
 class PolyExpApprox:
     """Truncated exponential series with its validity range.
 
-    coeffs[j] = 1/j!, valid on [-range_, range_] with worst-case error
+    coeffs[j] = 1/j! (in log space past 170!, as in :class:`MonomialBasis`),
+    valid on [-range_, range_] with worst-case error
     ``e^range_ * range_^(degree+1) / (degree+1)!``.
     """
 
@@ -94,7 +99,8 @@ class PolyExpApprox:
             raise ValidationError(f"degree must be nonnegative, got {self.degree}")
         if self.range_ < 0:
             raise ValidationError(f"range must be nonnegative, got {self.range_}")
-        c = np.array([1.0 / math.factorial(j) for j in range(self.degree + 1)])
+        c = np.array([1.0 / math.factorial(j) if j <= 170 else math.exp(-math.lgamma(j + 1))
+                      for j in range(self.degree + 1)])
         object.__setattr__(self, "coeffs", c)
 
     def remainder_bound(self):
@@ -222,14 +228,13 @@ def build_basis(d, g):
     return MonomialBasis(d=d, g=g)
 
 
-def feature_map(m, basis, weighting):
-    """Monomial features of each row of ``m`` over ``basis``.
+def feature_map(m, basis):
+    """Raw monomial features of each row of ``m`` over ``basis``, n x basis.size.
 
-    ``weighting="full"`` multiplies entry alpha by the series-times-
-    multinomial weight ``1 / prod_t alpha_t!`` (this is c_|alpha| * m(alpha));
-    ``weighting="none"`` leaves raw monomials.  Pairing a full-weighted query
-    side against two raw key sides reproduces the truncated series of
-    exp(<q, k1 * k2>) as a plain inner product.
+    Entry alpha of row i is prod_t m[i, t]^alpha_t.  The callers apply
+    ``basis.series_weights`` on the query side (see the module docstring):
+    weighted query features paired against two raw key sides reproduce the
+    truncated series of exp(<q, k1 * k2>) as a plain inner product.
     """
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
     if m.ndim != 2:
@@ -238,13 +243,7 @@ def feature_map(m, basis, weighting):
         raise ValidationError(
             f"feature_map input has {m.shape[1]} columns, basis expects {basis.d}"
         )
-    if weighting == "full":
-        w = basis.series_weights
-    elif weighting == "none":
-        w = None
-    else:
-        raise ValidationError(f"weighting must be 'full' or 'none', got {weighting!r}")
-    return kernels.feature_rows(m, basis.size, basis.blocks, w)
+    return kernels.feature_rows(m, basis.size, basis.blocks)
 
 
 @dataclass(frozen=True)
@@ -337,29 +336,31 @@ def f_degree(d, r, eps):
     return g, size
 
 
-def build_F_factors(inst, eps, proj=None, r=None):
+def check_row_normalizer(d_tilde):
+    """Raise ``NumericalError`` unless every row normalizer is positive and finite."""
+    if not (np.isfinite(d_tilde) & (d_tilde > 0)).all():
+        raise NumericalError("nonpositive or non-finite row normalizer in the factored "
+                             "attention matrix: eps too coarse or features overflowed")
+
+
+def build_F_factors(inst, eps):
     """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
 
     Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The degree comes from :func:`f_degree` on the bound ``r``.  The
-    materialized product is entrywise within ``eps`` of the exact attention
-    matrix.  ``proj`` (the tuple ``inst.projected()`` returns) and ``r``
-    (its :func:`softmax_arg_bound`) are computed here when not given.
+    into U1.  The degree comes from :func:`f_degree` on the bound R of
+    :func:`softmax_arg_bound`.  U1 carries the series weights, V1 and W1 are
+    raw.  The materialized product is entrywise within ``eps`` of the exact
+    attention matrix.
     """
-    q, k1, k2, _, _ = inst.projected() if proj is None else proj
-    if r is None:
-        r = softmax_arg_bound(q, k1, k2)
-    g, _ = f_degree(inst.d, r, eps)
+    q, k1, k2, _, _ = inst.projected()
+    g, _ = f_degree(inst.d, softmax_arg_bound(q, k1, k2), eps)
     basis = build_basis(inst.d, g)
-    u_raw = feature_map(q / inst.d, basis, "full")
-    v1 = feature_map(k1, basis, "none")
-    w1 = feature_map(k2, basis, "none")
+    u_raw = feature_map(q / inst.d, basis)
+    u_raw *= basis.series_weights
+    v1 = feature_map(k1, basis)
+    w1 = feature_map(k2, basis)
     # row sums of u_raw @ col_kron(v1, w1).T without the tall product
     d_tilde = u_raw @ (v1.sum(axis=0) * w1.sum(axis=0))
-    if (d_tilde <= 0).any():
-        raise NumericalError(
-            "nonpositive row normalizer in the factored attention matrix; "
-            "eps is too coarse for positivity at this entry bound"
-        )
+    check_row_normalizer(d_tilde)
     u1 = u_raw / d_tilde[:, None]
     return LowRankTriple(U=u1, V=v1, W=w1), d_tilde

@@ -59,8 +59,8 @@ def feature_rows_loops(m, exponents, weights):
     return out
 
 
-def feature_rows_gather(m, parents, variables, bounds, weights):
-    """The feature rows by one fancy-index gather per degree.
+def feature_rows_gather(m, parents, variables, bounds):
+    """The raw feature rows by one fancy-index gather per degree.
 
     Column i > 0 is column ``parents[i]`` times ``m[:, variables[i]]``, one
     whole degree ``bounds[g]:bounds[g + 1]`` at a time; every entry is one
@@ -71,8 +71,6 @@ def feature_rows_gather(m, parents, variables, bounds, weights):
     out[0] = 1.0
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         np.multiply(out[parents[lo:hi]], mt[variables[lo:hi]], out=out[lo:hi])
-    if weights is not None:
-        out *= weights[:, None]
     return out.T
 
 

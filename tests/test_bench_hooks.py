@@ -7,6 +7,7 @@ through ``getattr`` on the package, without wrapping anything.
 """
 
 import importlib
+import math
 import os
 
 import tatkit
@@ -28,3 +29,16 @@ def test_every_wrapped_name_resolves(monkeypatch):
         if not callable(target):
             missing.append(f"{owner}.{attr}")
     assert not missing, f"names wrapped by perfbench/spans.py are gone: {missing}"
+
+
+def test_grad_fast_attrs_reads_a_real_report(monkeypatch):
+    # the traced run folds these report fields into per-layer metrics
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    inst = tatkit.random_instance(64, 3, 0.8, 1)
+    report = tatkit.fastgrad.grad_fast(inst, 1e-6)
+    attrs = spans._grad_fast_attrs((inst, 1e-6), report)
+    assert attrs["g"] == report.degree and attrs["k1"] == report.k1
+    assert attrs["k5"] == report.k5
+    for key in ("g", "k1", "k5", "factor_mib"):
+        assert math.isfinite(attrs[key]) and attrs[key] > 0, (key, attrs)

@@ -5,7 +5,7 @@ import pytest
 
 import tatkit as tk
 from tatkit import fastgrad, kernels, lowrank
-from tatkit.errors import ValidationError
+from tatkit.errors import NumericalError, ValidationError
 
 
 def _with_target(inst, e):
@@ -207,7 +207,7 @@ def test_grad_fast_projects_once(monkeypatch):
 
 
 def test_grad_fast_one_feature_map_one_degree(monkeypatch):
-    calls = {"feature_rows": 0, "choose_degree": 0, "projected": 0}
+    calls = {"feature_rows": 0, "choose_degree": 0, "projected": 0, "build_W_factors": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -219,8 +219,11 @@ def test_grad_fast_one_feature_map_one_degree(monkeypatch):
     monkeypatch.setattr(lowrank, "choose_degree", counted("choose_degree", lowrank.choose_degree))
     monkeypatch.setattr(tk.AttnInstance, "projected",
                         counted("projected", tk.AttnInstance.projected))
+    monkeypatch.setattr(fastgrad, "build_W_factors",
+                        counted("build_W_factors", fastgrad.build_W_factors))
     tk.grad_fast(tk.random_instance(16, 2, 0.8, 3), 1e-6)
-    assert calls == {"feature_rows": 1, "choose_degree": 1, "projected": 1}
+    assert calls == {"feature_rows": 1, "choose_degree": 1, "projected": 1,
+                     "build_W_factors": 0}
 
 
 def test_rank_bookkeeping():
@@ -267,6 +270,39 @@ def test_allocation_audit():
     # audited result identical to the unaudited one
     plain = tk.grad_fast(inst, 1e-6)
     assert (rep.g_tilde == plain.g_tilde).all()
+
+
+def test_audit_leaves_an_outer_trace_running():
+    inst = tk.random_instance(512, 2, 0.8, 6)
+    tracemalloc.start()
+    try:
+        rep = tk.grad_fast(inst, 1e-6, audit=True)
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert rep.peak_bytes > 0
+
+
+def test_audit_stops_its_trace_when_it_raises():
+    # n = 8 is below k1, so the named-buffer audit fails on Phi(K1)
+    with pytest.raises(NumericalError, match="allocation audit"):
+        tk.grad_fast(tk.random_instance(8, 2, 0.8, 1), 1e-6, audit=True)
+    assert not tracemalloc.is_tracing()
+    # the normalizer check fails inside the traced pass too
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="row normalizer"):
+            tk.grad_fast(tk.random_instance(64, 1, 3.0, 3), 1e-6, audit=True)
+    assert not tracemalloc.is_tracing()
+
+
+def test_grad_fast_rejects_overflowed_features():
+    # R = 63.9 is admitted at g = 273 and k1 = 274, but the raw key features
+    # overflow; without a finiteness check the gradient comes back all NaN,
+    # while the exact one is finite (max ~ 9.98)
+    inst = tk.random_instance(64, 1, 3.0, 3)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="non-finite"):
+            tk.grad_fast(inst, 1e-6)
 
 
 def test_peak_memory_is_features_plus_operands():

@@ -39,6 +39,23 @@ def test_choose_degree_validation():
         tk.choose_degree(1.0, 2.0)
     with pytest.raises(ValidationError):
         tk.choose_degree(1.0, 0.0)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            tk.choose_degree(r, 1e-6)
+
+
+def test_poly_approx_past_largest_double_factorial():
+    # 171! overflows a double; the degree the engine admits at R=60 is 256
+    g = tk.choose_degree(60.0, 5e-7)
+    assert g > 170
+    poly = tk.PolyExpApprox(degree=g, range_=60.0)
+    assert poly.coeffs[:171].tolist() == [1.0 / math.factorial(j) for j in range(171)]
+    tail = poly.coeffs[171:]
+    assert (tail >= 0).all() and (np.diff(tail) <= 0).all()
+    assert math.isclose(tail[0], math.exp(-math.lgamma(172)))
+    assert poly.remainder_bound() <= 5e-7
+    xs = np.linspace(0.0, 60.0, 61)
+    assert np.abs(poly.evaluate(xs) / np.exp(xs) - 1.0).max() <= 1e-12
 
 
 def test_poly_approx_grid_error_within_remainder():
@@ -130,16 +147,15 @@ def test_basis_inner_product_identity():
 
 def test_feature_map_examples():
     b = tk.build_basis(2, 2)
-    z = tk.feature_map(np.zeros((3, 2)), b, "full")
+    z = tk.feature_map(np.zeros((3, 2)), b)
     assert (z[:, 0] == 1.0).all() and (z[:, 1:] == 0.0).all()
 
+    # raw monomials: 2^2 = 4, not the series-weighted 2^2 / 2!
     b1 = tk.build_basis(1, 2)
-    assert tk.feature_map(np.array([[2.0]]), b1, "none").tolist() == [[1.0, 2.0, 4.0]]
+    assert tk.feature_map(np.array([[2.0]]), b1).tolist() == [[1.0, 2.0, 4.0]]
 
     with pytest.raises(ValidationError):
-        tk.feature_map(np.ones((2, 3)), b, "none")
-    with pytest.raises(ValidationError):
-        tk.feature_map(np.ones((2, 2)), b, "half")
+        tk.feature_map(np.ones((2, 3)), b)
 
 
 def test_feature_map_reproduces_truncated_series():
@@ -152,9 +168,9 @@ def test_feature_map_reproduces_truncated_series():
         q = rng.uniform(-0.5, 0.5, (1, 2))
         k1 = rng.uniform(-0.5, 0.5, (1, 2))
         k2 = rng.uniform(-0.5, 0.5, (1, 2))
-        fq = tk.feature_map(q, b, "full")
-        f1 = tk.feature_map(k1, b, "none")
-        f2 = tk.feature_map(k2, b, "none")
+        fq = tk.feature_map(q, b) * b.series_weights
+        f1 = tk.feature_map(k1, b)
+        f2 = tk.feature_map(k2, b)
         got = float((fq @ (f1 * f2).T)[0, 0])
         want = float(poly.evaluate(np.array(q[0] @ (k1[0] * k2[0]))))
         assert abs(got - want) <= 1e-12
@@ -253,6 +269,15 @@ def test_build_f_factors_validation():
     )
     with pytest.raises(ValidationError, match="rank"):
         tk.build_F_factors(scaled, 1e-8)
+
+
+def test_build_f_factors_rejects_overflowed_normalizer():
+    # R = 63.9 is admitted at g = 273, but the raw key features overflow, so
+    # the row normalizer is NaN
+    inst = tk.random_instance(64, 1, 3.0, 3)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="non-finite"):
+            tk.build_F_factors(inst, 5e-7)
 
 
 def test_materialize_cap():
