@@ -139,14 +139,14 @@ def _cmd_check(args):
 
 
 def _wall_times(fn, repeats):
-    """Median, min and spread (max - min) of ``repeats`` timed calls after a warm-up."""
-    fn()  # warm-up, excluded
+    """The warm-up call's result, then median, min and max - min of ``repeats`` timed calls."""
+    result = fn()
     times = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), min(times), max(times) - min(times)
+    return result, statistics.median(times), min(times), max(times) - min(times)
 
 
 def _cmd_bench(args):
@@ -162,12 +162,11 @@ def _cmd_bench(args):
     for n in ns:
         inst = random_instance(n, args.d, args.bound, args.seed)
         if args.engine == "exact":
-            wall, lo, spread = _wall_times(lambda: exact.grad_exact(inst), args.repeats)
+            _, wall, lo, spread = _wall_times(lambda: exact.grad_exact(inst), args.repeats)
             row = [n, args.d, repr(args.eps), "", "", "",
                    "exact", repr(wall), "", args.seed]
         else:
-            report = fastgrad.grad_fast(inst, args.eps)
-            wall, lo, spread = _wall_times(
+            report, wall, lo, spread = _wall_times(
                 lambda: fastgrad.grad_fast(inst, args.eps), args.repeats
             )
             if n <= exact.exact_cap():
@@ -189,22 +188,23 @@ def _cmd_probe(args):
     n, d, ba = hi.n, hi.d, hi.Ba
     grid = np.linspace(0.0, 1.0, 21)
     bound = 8.0 * ba * n * d
-    max_fp = 0.0
     slack = 1.0 + 1e-12
-    for lam in grid:
-        fp = hardness.f_prime(hi, float(lam))
-        max_fp = max(max_fp, abs(fp))
-        if abs(fp) > bound:
-            raise ToleranceError(
-                f"|f'({lam:g})| = {abs(fp):.6g} exceeds 8*Ba*n*d = {bound:.6g}"
-            )
-        h = hardness.row_denominators(hi, float(lam))
-        lo = (n * n / 2.0) ** 2 * np.exp(2.0 * ba * lam)
-        hisup = float(n) ** 4 * np.exp(2.0 * ba * lam)
-        if (h < lo / slack).any() or (h > hisup * slack).any():
-            raise ToleranceError(f"row normalizer sandwich violated at lambda={lam:g}")
-    f0 = hardness.f_lambda(hi, 0.0)
-    f1 = hardness.f_lambda(hi, 1.0)
+    curve = hardness.curve(hi, grid)
+    abs_fp = np.abs(curve.fp)
+    i = int(np.argmax(abs_fp))
+    max_fp = float(abs_fp[i])
+    if max_fp > bound:
+        raise ToleranceError(
+            f"|f'({grid[i]:g})| = {max_fp:.6g} exceeds 8*Ba*n*d = {bound:.6g}"
+        )
+    growth = np.exp(2.0 * ba * grid)[:, None]
+    lo, hisup = (n * n / 2.0) ** 2 * growth, float(n) ** 4 * growth
+    outside = ((curve.h < lo / slack) | (curve.h > hisup * slack)).any(axis=1)
+    if outside.any():
+        raise ToleranceError(
+            f"row normalizer sandwich violated at lambda={grid[np.argmax(outside)]:g}"
+        )
+    f0, f1 = float(curve.f[0]), float(curve.f[-1])
     b_emp = hardness.empirical_second_derivative_bound(hi)
     s_t = hardness.avg_estimate(hi, args.t)
     gap = abs(s_t - (f1 - f0))

@@ -3,7 +3,9 @@
 Everything here materializes the full n x n^2 attention matrix, so it is
 cubic in n and guarded by a sequence cap.  It serves as the ground-truth
 oracle for the low-rank engine.  Every path builds its softmax arguments
-through ``_scores``, which holds the cap and exp-limit checks.
+through ``_scores``, which holds the cap and exp-limit checks, and
+normalizes them in place.  The gradient holds three n x n^2 buffers at its
+peak: F, W and P = (W - r) * F, contracted by two GEMMs.
 """
 
 import os
@@ -78,12 +80,11 @@ def _scores(inst, x=None, a23=None):
 
 
 def _softmax_rows(scores):
-    m = scores.max(axis=1)
-    a = np.exp(scores - m[:, None])
-    tot = a.sum(axis=1)
-    f = a / tot[:, None]
-    d_diag = np.exp(m + np.log(tot))
-    return f, d_diag
+    """Row softmax of a fresh ``_scores`` buffer, normalized in place: F."""
+    scores -= scores.max(axis=1)[:, None]
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1)[:, None]
+    return scores
 
 
 def attention_weights(inst, x_override=None):
@@ -92,8 +93,7 @@ def attention_weights(inst, x_override=None):
     With ``x_override`` the composite d x d^2 variable replaces the one
     derived from X1, X2, X3 (used by the finite-difference oracle).
     """
-    f, _ = _softmax_rows(_scores(inst, x_override))
-    return f
+    return _softmax_rows(_scores(inst, x_override))
 
 
 def _value_matrix(inst):
@@ -114,8 +114,7 @@ def loss(inst):
 
 def _loss_given_x(inst, x, a23, h):
     # a23 = kron(A2, A3) and h = _value_matrix(inst) do not depend on x
-    f, _ = _softmax_rows(_scores(inst, x, a23))
-    r = f @ h - inst.E
+    r = _softmax_rows(_scores(inst, x, a23)) @ h - inst.E
     return 0.5 * float((r * r).sum())
 
 
@@ -124,9 +123,10 @@ class ExactIntermediates:
     """Dense intermediates of the gradient pipeline.
 
     F is the n x n^2 row-stochastic attention matrix, H the n^2 x d value
-    matrix, Vres the n x d residual, W = Vres @ H.T, and P applies each
-    row's softmax Jacobian to the matching row of W.  D_diag holds the
-    unnormalized row sums of the exponentiated scores.
+    matrix, Vres the n x d residual and W = Vres @ H.T.  P applies each
+    row's softmax Jacobian to the matching row of W: P = (W - r) * F with
+    r the row-wise dot product of F and W.  F, W and P are the only
+    n x n^2 buffers.
     """
 
     F: np.ndarray
@@ -134,33 +134,26 @@ class ExactIntermediates:
     Vres: np.ndarray
     W: np.ndarray
     P: np.ndarray
-    D_diag: np.ndarray
 
 
 def compute_intermediates(inst):
-    f, d_diag = _softmax_rows(_scores(inst))
+    f = _softmax_rows(_scores(inst))
     h = _value_matrix(inst)
     vres = f @ h - inst.E
     w = vres @ h.T
-    fw = f * w
-    r = fw.sum(axis=1)
-    p = fw - r[:, None] * f
-    return ExactIntermediates(F=f, H=h, Vres=vres, W=w, P=p, D_diag=d_diag)
+    p = w - np.einsum("ij,ij->i", f, w)[:, None]
+    p *= f
+    return ExactIntermediates(F=f, H=h, Vres=vres, W=w, P=p)
 
 
 def grad_exact(inst):
     """Closed-form loss gradient w.r.t. the composite X, shape d x d^2.
 
-    Computed as ``A1.T @ P @ (A2 kron A3) / d`` with the Kronecker factor
-    contracted axis by axis instead of materialized.
+    Computed as ``(A1.T @ P) @ kron(A2, A3) / d``: two GEMMs, with the
+    n^2 x d^2 Kronecker factor materialized (512 KiB at n=128, d=2).
     """
-    n, d = inst.n, inst.d
-    inter = compute_intermediates(inst)
-    p3 = inter.P.reshape(n, n, n)
-    t1 = np.tensordot(p3, inst.A2, axes=(1, 0))         # (n, n, d): sum over j
-    t2 = np.tensordot(t1, inst.A3, axes=(1, 0))         # (n, d, d): sum over l
-    g3 = np.tensordot(inst.A1, t2, axes=(0, 0))         # (d, d, d): sum over j0
-    return g3.reshape(d, d * d) / d
+    p = compute_intermediates(inst).P
+    return (inst.A1.T @ p) @ kron(inst.A2, inst.A3) / inst.d
 
 
 def grad_fd(inst, step):

@@ -35,11 +35,6 @@ def format_instance(inst):
     return "\n".join(lines) + "\n"
 
 
-def write_instance(inst, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_instance(inst))
-
-
 def _fail(lineno, msg):
     raise ValidationError(f"line {lineno}: {msg}")
 

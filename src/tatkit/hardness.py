@@ -10,8 +10,12 @@ has derivatives bounded by O(Ba n d), which is what lets forward values be
 recovered from an average of gradient evaluations.  This module evaluates
 f, its analytic derivative, and the averaging estimator, all via per-row
 sums (g, g', h, h') so no quotient is formed before the row-level division.
+``curve`` is the one evaluator: it takes a vector of lambdas and batches
+them through ``kernels.hard_probe_rows``, so each caller evaluates its
+whole lambda grid in one call.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,55 +76,62 @@ def make_hard_instance(n, d, ba, seed):
     return HardInstance(n=n, d=d, Ba=float(ba), H=h, V=v)
 
 
-def _check_lam(hi, lam):
-    if lam * hi.Ba > EXP_ARG_LIMIT:
-        raise NumericalError(
-            f"lambda * Ba = {lam * hi.Ba:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
-        )
+_PROBE_ENTRIES = 1 << 20  # entries of L x n x n^2 per hard_probe_rows call
+_F2_STEP = 1e-5  # lambda step of the central difference of f' for f''
+
+Curve = namedtuple("Curve", "f fp h")
+
+
+def curve(hi, lams):
+    """f, f' (length L) and the row normalizers h (L x n) at each of L ``lams``.
+
+    f' comes from the per-row quotient rule.  The exp limit is checked once,
+    on the largest lambda; the kernel gets blocks of _PROBE_ENTRIES // n^3.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    top = float(lams.max()) * hi.Ba
+    if top > EXP_ARG_LIMIT:
+        raise NumericalError(f"lambda * Ba = {top:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
+    block = max(1, _PROBE_ENTRIES // hi.H.size)
+    rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
+                           for i in range(0, lams.size, block)])
+    g, gp, h, hp = np.moveaxis(rows, -1, 0)
+    return Curve(f=(g / h).sum(axis=1), fp=((gp * h - g * hp) / (h * h)).sum(axis=1), h=h)
 
 
 def f_lambda(hi, lam):
     """f(lam) = squared Frobenius norm of the row-normalized curve times V."""
-    _check_lam(hi, lam)
-    rows = kernels.hard_probe_rows(hi.H, hi.V, float(lam))
-    return float((rows[:, 0] / rows[:, 2]).sum())
+    return float(curve(hi, [lam]).f[0])
 
 
 def f_prime(hi, lam):
     """Analytic derivative of f via the per-row quotient rule."""
-    _check_lam(hi, lam)
-    rows = kernels.hard_probe_rows(hi.H, hi.V, float(lam))
-    g, gp, h, hp = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    return float(((gp * h - g * hp) / (h * h)).sum())
+    return float(curve(hi, [lam]).fp[0])
 
 
 def f_prime_fd(hi, lam, step=1e-6):
     return (f_lambda(hi, lam + step) - f_lambda(hi, lam - step)) / (2.0 * step)
 
 
-def f_second_fd(hi, lam, step=1e-5):
-    return (f_prime(hi, lam + step) - f_prime(hi, lam - step)) / (2.0 * step)
-
-
 def row_denominators(hi, lam):
     """The per-row squared normalizers h(lam, i), for the sandwich bound."""
-    _check_lam(hi, lam)
-    rows = kernels.hard_probe_rows(hi.H, hi.V, float(lam))
-    return rows[:, 2].copy()
+    return curve(hi, [lam]).h[0]
 
 
 def empirical_second_derivative_bound(hi, grid_points=101):
     """max |f''| over [0, 1], estimated by differencing the analytic f'."""
     lams = np.linspace(0.0, 1.0, grid_points)
-    return max(abs(f_second_fd(hi, float(l))) for l in lams)
+    fp = curve(hi, np.concatenate([lams + _F2_STEP, lams - _F2_STEP])).fp
+    return float(np.abs((fp[:grid_points] - fp[grid_points:]) / (2.0 * _F2_STEP)).max())
 
 
 def avg_estimate(hi, t):
     """s_t: the mean of f' over the left-endpoint grid {0, 1/t, ..., (t-1)/t}.
 
-    Approximates f(1) - f(0) with error at most max|f''| / t.
+    Approximates f(1) - f(0) with error at most max|f''| / t.  f' is summed
+    in grid order, so s_t does not depend on how the grid is batched.
     """
     t = int(t)
     if t < 1:
         raise ValidationError(f"t must be at least 1, got {t}")
-    return sum(f_prime(hi, i / t) for i in range(t)) / t
+    return sum(curve(hi, np.arange(t) / t).fp.tolist()) / t

@@ -34,21 +34,22 @@ def bilinear_rows(U, G, V):
     return ((U @ G) * V).sum(axis=1)
 
 
-def hard_probe_rows(H, V, lam):
-    """Per-row (g, g', h, h') of the hard-instance curve at ``lam``, n x 4.
+def hard_probe_rows(H, V, lams):
+    """Per-row (g, g', h, h') of the hard-instance curve at each of ``lams``.
 
-    With M_i = exp(lam * H[i]): g = ||M_i @ V||^2, h = (sum M_i)^2, and
-    g', h' their derivatives in lam.
+    Returns an L x n x 4 array for L values of lambda.  With
+    M_i = exp(lam * H[i]): g = ||M_i @ V||^2, h = (sum M_i)^2, and g', h'
+    their derivatives in lam.  Holds two L x n x n^2 buffers.
     """
-    Mh = np.exp(lam * H)
+    Mh = np.exp(np.asarray(lams, dtype=np.float64)[:, None, None] * H)
     HM = H * Mh
-    r = Mh.sum(axis=1)
-    s = HM.sum(axis=1)
+    r = Mh.sum(axis=2)
+    s = HM.sum(axis=2)
     A = Mh @ V
     B = HM @ V
-    out = np.empty((H.shape[0], 4))
-    out[:, 0] = (A * A).sum(axis=1)
-    out[:, 1] = 2.0 * (A * B).sum(axis=1)
-    out[:, 2] = r * r
-    out[:, 3] = 2.0 * r * s
+    out = np.empty(r.shape + (4,))
+    out[..., 0] = (A * A).sum(axis=2)
+    out[..., 1] = 2.0 * (A * B).sum(axis=2)
+    out[..., 2] = r * r
+    out[..., 3] = 2.0 * r * s
     return out

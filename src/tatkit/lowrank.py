@@ -322,10 +322,6 @@ def f_degree(d, r, eps):
     Allocates nothing, so callers can admit or reject an instance before any
     feature map exists.
     """
-    if not (0 < eps < 1):
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    if not math.isfinite(r):
-        raise ValidationError(f"softmax argument bound {r:.6g} is too large")
     g = choose_degree(r, eps)
     size = math.comb(d + g, g)
     if size > RANK_CAP:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import cli, fileio
+from tatkit import cli, fileio, hardness
 from tatkit.errors import ValidationError
 
 
@@ -144,6 +144,23 @@ def test_probe_ok(capsys):
     out = capsys.readouterr().out
     keys = {line.split("=")[0] for line in out.strip().split("\n")}
     assert keys == {"f0", "f1", "s_t", "b_emp", "max_abs_fprime", "fprime_bound"}
+
+
+def test_probe_evaluates_each_lambda_grid_once(capsys, monkeypatch):
+    # one batched curve per grid: the 21-point check grid, the 2 x 101
+    # shifted f'' grid and the t-point average
+    calls = []
+    kernel = hardness.kernels.hard_probe_rows
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows",
+                        lambda *a: calls.append(1) or kernel(*a))
+    assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "3",
+                     "--seed", "5", "--t", "100"]) == 0
+    assert len(calls) == 3
+    assert capsys.readouterr().out == (
+        "f0=4.384765625\nf1=4.333171253057967\ns_t=-0.051876222875379394\n"
+        "b_emp=0.06734502464786352\nmax_abs_fprime=0.0824455231065433\n"
+        "fprime_bound=384.0\n"
+    )
 
 
 def test_probe_validation():

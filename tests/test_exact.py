@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,7 +115,33 @@ def test_intermediates_invariants():
         assert np.abs(rowsums - 1.0).max() <= 1e-12
         assert (inter.F > 0).all() and (inter.F <= 1.0).all()
         assert np.abs(inter.W - inter.Vres @ inter.H.T).max() <= 1e-12
-        assert np.isfinite(inter.D_diag).all() and (inter.D_diag > 0).all()
+
+
+def test_grad_finite_without_warning_at_exp_limit():
+    # R = 699.5 is admitted, and each row's unnormalized sum n^2 * e^699.5
+    # overflows a double; the gradient never needs that sum
+    n = 200
+    a = np.full((n, 1), 699.5 ** (1.0 / 3.0))
+    one = np.ones((1, 1))
+    inst = tk.AttnInstance(n=n, d=1, A1=a, A2=a, A3=a, A4=a, A5=a, E=np.zeros((n, 1)),
+                           X1=one, X2=one, X3=one, Y1=one, Y2=one)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = tk.grad_exact(inst)
+    assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_grad_exact_holds_three_cubic_buffers(n):
+    # F, W and P are the only n x n^2 arrays; 3.5 leaves room for O(n^2) operands
+    inst = _instance(n, 2, 1, bound=0.8)
+    tracemalloc.start()
+    try:
+        tk.grad_exact(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n ** 3, peak / (8 * n ** 3)
 
 
 def test_grad_zero_at_optimum():

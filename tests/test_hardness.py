@@ -101,6 +101,23 @@ def test_avg_estimate_bound_and_convergence():
     assert errs[100] <= errs[1] / 10
 
 
+def test_curve_blocks_match_one_batch(monkeypatch):
+    hi = tk.make_hard_instance(4, 2, 3.0, 5)
+    lams = np.linspace(-0.2, 1.0, 11)
+    whole = hardness.curve(hi, lams)
+    calls = []
+    kernel = hardness.kernels.hard_probe_rows
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows",
+                        lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 3 * hi.H.size)
+    blocked = hardness.curve(hi, lams)
+    assert len(calls) == 4
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
+    assert whole.f[3] == tk.f_lambda(hi, float(lams[3]))
+    assert whole.fp[3] == tk.f_prime(hi, float(lams[3]))
+
+
 def test_avg_estimate_validation():
     hi = tk.make_hard_instance(2, 1, 2.0, 0)
     with pytest.raises(ValidationError):

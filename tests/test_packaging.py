@@ -1,4 +1,4 @@
-"""The declared runtime dependencies are importable where tatkit runs."""
+"""The declared runtime dependencies import, and the public names resolve."""
 
 import importlib
 import os
@@ -21,3 +21,10 @@ def test_declared_dependencies_import():
     for spec in deps:
         name = re.match(r"[A-Za-z0-9_.-]+", spec).group(0)
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_public_names_resolve():
+    import tatkit
+
+    missing = [name for name in tatkit.__all__ if not hasattr(tatkit, name)]
+    assert not missing, f"names in tatkit.__all__ are gone: {missing}"
