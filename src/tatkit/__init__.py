@@ -35,7 +35,6 @@ from .instance import AttnInstance, random_instance
 from .lowrank import (
     LowRankTriple,
     MonomialBasis,
-    PolyExpApprox,
     build_basis,
     build_F_factors,
     choose_degree,
@@ -64,7 +63,6 @@ __all__ = [
     "LowRankTriple",
     "MonomialBasis",
     "NumericalError",
-    "PolyExpApprox",
     "TatError",
     "ToleranceError",
     "ValidationError",

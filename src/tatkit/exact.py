@@ -24,13 +24,21 @@ FD_D_CAP = 4
 
 
 def exact_cap():
-    """Sequence-length cap for the dense engine (env TAT_EXACT_CAP overrides)."""
+    """Sequence-length cap for the dense engine (env TAT_EXACT_CAP overrides).
+
+    Unset or empty gives ``DEFAULT_EXACT_CAP``; any other value must be a
+    positive integer, or ``ValidationError`` names it.
+    """
     raw = os.environ.get("TAT_EXACT_CAP", "")
+    if not raw:
+        return DEFAULT_EXACT_CAP
     try:
         cap = int(raw)
     except ValueError:
-        return DEFAULT_EXACT_CAP
-    return cap if cap >= 1 else DEFAULT_EXACT_CAP
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"TAT_EXACT_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_cap(n):
@@ -87,13 +95,9 @@ def _softmax_rows(scores):
     return scores
 
 
-def attention_weights(inst, x_override=None):
-    """Row-normalized attention matrix F, shape n x n^2.
-
-    With ``x_override`` the composite d x d^2 variable replaces the one
-    derived from X1, X2, X3 (used by the finite-difference oracle).
-    """
-    return _softmax_rows(_scores(inst, x_override))
+def attention_weights(inst):
+    """Row-normalized attention matrix F, shape n x n^2."""
+    return _softmax_rows(_scores(inst))
 
 
 def _value_matrix(inst):

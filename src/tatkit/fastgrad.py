@@ -162,15 +162,6 @@ def _error_budget(inst, eps_internal, u2, v2, w2):
     return (n ** 3 / d) * amp * delta_p
 
 
-def _audit_named(arrays, limit_entries):
-    for name, a in arrays:
-        if a.size >= limit_entries:
-            raise NumericalError(
-                f"allocation audit: buffer {name} has {a.size} entries, "
-                f"over the n^2 = {limit_entries} limit"
-            )
-
-
 def grad_fast(inst, eps, audit=False):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
@@ -182,12 +173,12 @@ def grad_fast(inst, eps, audit=False):
     matches the explicit factor builders within rounding.  A nonpositive or
     non-finite row normalizer raises ``NumericalError``.
 
-    ``audit=True`` additionally traces allocations: every named pipeline
-    buffer must stay below n^2 entries and the traced peak must stay below
-    three n^2-entry float64 buffers.  Tracing starts and stops here only if
-    it was off; a caller's session keeps running, with its peak reset.  The
-    audit is meaningful in the target regime n*k1 << n^2 and slows the run;
-    leave it off when timing.
+    ``audit=True`` additionally traces allocations: the traced peak must
+    stay below one n^2-entry float64 buffer, so no buffer of n^2 entries
+    (let alone n x n^2) can have existed.  Tracing starts and stops here
+    only if it was off; a caller's session keeps running, with its peak
+    reset.  The audit is meaningful in the target regime n*k1 << n^2 and
+    slows the run; leave it off when timing.
     """
     if eps >= 1:
         raise ValidationError(f"eps must be below 1, got {eps}")
@@ -285,16 +276,6 @@ def grad_fast(inst, eps, audit=False):
         g1 = g1.reshape(d, -1)
         timings["query_contract"] = time.perf_counter() - t
 
-        if audit:
-            _audit_named(
-                [
-                    ("Phi(K1)", phi_t[:, :n]), ("Phi(K2)", phi_t[:, n:2 * n]),
-                    ("Phi(Q/d)", phi_q_t), ("key operand", key_op),
-                    ("query operand", query_op), ("U2", u2_t), ("R", r_tilde),
-                ],
-                n * n,
-            )
-
         t = time.perf_counter()
         # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.
         # The Pa columns k run over (W column, F column) pairs, the reverse
@@ -308,11 +289,11 @@ def grad_fast(inst, eps, audit=False):
     finally:
         if own_trace:
             tracemalloc.stop()
-    limit = 3 * n * n * 8
+    limit = n * n * 8
     if audit and peak_bytes >= limit:
         raise NumericalError(
             f"allocation audit: traced peak {peak_bytes} bytes is over "
-            f"the limit {limit} (three n^2-entry float64 buffers)"
+            f"the limit {limit} (one n^2-entry float64 buffer)"
         )
 
     eps_target = _error_budget(inst, eps_internal, u2_t.T, v2, w2)

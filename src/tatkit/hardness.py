@@ -8,13 +8,17 @@ curve
 
 has derivatives bounded by O(Ba n d), which is what lets forward values be
 recovered from an average of gradient evaluations.  This module evaluates
-f, its analytic derivative, and the averaging estimator, all via per-row
-sums (g, g', h, h') so no quotient is formed before the row-level division.
-``curve`` is the one evaluator: it takes a vector of lambdas and batches
-them through ``kernels.hard_probe_rows``, so each caller evaluates its
-whole lambda grid in one call.
+f, its analytic derivative, the row normalizers and the averaging
+estimator, all via per-row sums (g, g', h, h') so no quotient is formed
+before the row-level division.  ``curve`` is the one evaluator: it takes a
+vector of lambdas and batches them through ``kernels.hard_probe_rows``, so
+each caller evaluates its whole lambda grid in one call.  ``f_lambda`` and
+``f_prime`` read it at a single lambda; ``empirical_second_derivative_bound``
+and ``avg_estimate`` on their fixed grids; ``tat probe`` reads f, f' and h
+from it directly.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -61,8 +65,8 @@ def make_hard_instance(n, d, ba, seed):
     """Random instance satisfying the row-majority structure, seed-stable."""
     if n < 1 or d < 1:
         raise ValidationError(f"n and d must be positive, got n={n} d={d}")
-    if ba < 1:
-        raise ValidationError(f"Ba must be at least 1, got {ba}")
+    if not 1 <= ba < math.inf:  # a nan fails too
+        raise ValidationError(f"Ba must be finite and at least 1, got {ba}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     m = n * n
     need = -(-m // 2)
@@ -78,6 +82,7 @@ def make_hard_instance(n, d, ba, seed):
 
 _PROBE_ENTRIES = 1 << 20  # entries of L x n x n^2 per hard_probe_rows call
 _F2_STEP = 1e-5  # lambda step of the central difference of f' for f''
+_F2_POINTS = 101  # grid on [0, 1] over which max |f''| is taken
 
 Curve = namedtuple("Curve", "f fp h")
 
@@ -109,20 +114,11 @@ def f_prime(hi, lam):
     return float(curve(hi, [lam]).fp[0])
 
 
-def f_prime_fd(hi, lam, step=1e-6):
-    return (f_lambda(hi, lam + step) - f_lambda(hi, lam - step)) / (2.0 * step)
-
-
-def row_denominators(hi, lam):
-    """The per-row squared normalizers h(lam, i), for the sandwich bound."""
-    return curve(hi, [lam]).h[0]
-
-
-def empirical_second_derivative_bound(hi, grid_points=101):
+def empirical_second_derivative_bound(hi):
     """max |f''| over [0, 1], estimated by differencing the analytic f'."""
-    lams = np.linspace(0.0, 1.0, grid_points)
+    lams = np.linspace(0.0, 1.0, _F2_POINTS)
     fp = curve(hi, np.concatenate([lams + _F2_STEP, lams - _F2_STEP])).fp
-    return float(np.abs((fp[:grid_points] - fp[grid_points:]) / (2.0 * _F2_STEP)).max())
+    return float(np.abs((fp[:_F2_POINTS] - fp[_F2_POINTS:]) / (2.0 * _F2_STEP)).max())
 
 
 def avg_estimate(hi, t):

@@ -1,5 +1,6 @@
 """Problem instances for the third-order attention loss."""
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,8 +85,8 @@ def random_instance(n, d, bound, seed):
     """
     if n < 1 or d < 1:
         raise ValidationError(f"n and d must be positive, got n={n} d={d}")
-    if bound < 0:
-        raise ValidationError(f"bound must be nonnegative, got {bound}")
+    if not 0 <= 2.0 * bound < math.inf:  # the draws span 2 * bound; a nan fails too
+        raise ValidationError(f"bound must be nonnegative with 2 * bound finite, got {bound}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     blocks = {}
     for name in MATRIX_FIELDS:

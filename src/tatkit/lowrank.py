@@ -7,11 +7,17 @@ into an inner product of monomial feature vectors:
     exp(<q, k>) ~ sum_{|alpha| <= g}  (q^alpha / prod_t alpha_t!) * k^alpha,
 
 where k = k1 * k2 entrywise, so k^alpha = k1^alpha * k2^alpha splits into the
-two key-side factors.  :func:`feature_map` returns raw monomials.  The series
-weights 1/alpha! (``MonomialBasis.series_weights``) have two readers, both on
-the query side: :func:`build_F_factors` multiplies its U by them and
-``fastgrad.grad_fast`` its k1-sized contractions.  The raw key-side V, W make
-``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
+two key-side factors.  :class:`MonomialBasis` is that series, built from
+its run table: each run of degree-m entries is one variable times a run of
+degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
+array (exponents, parents, the exact integers alpha!) is filled run by run
+from it.  The series weights 1/alpha! (``MonomialBasis.series_weights``)
+follow from those integers by one rule, and are the only copy of the series'
+coefficients.  :func:`feature_map` returns raw monomials.  The weights have
+two readers, both on the query side: :func:`build_F_factors` multiplies its
+U by them and ``fastgrad.grad_fast`` its k1-sized contractions.  The raw
+key-side V, W make ``col_kron(V, W)`` rows equal raw monomials of
+k1_j * k2_l.
 
 The argument range [-R, R] comes from the row bound of
 :func:`softmax_arg_bound`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
@@ -81,49 +87,13 @@ def choose_degree(r, eps):
     return hi
 
 
-@dataclass(frozen=True)
-class PolyExpApprox:
-    """Truncated exponential series with its validity range.
-
-    coeffs[j] = 1/j! (in log space past 170!, as in :class:`MonomialBasis`),
-    valid on [-range_, range_] with worst-case error
-    ``e^range_ * range_^(degree+1) / (degree+1)!``.
-    """
-
-    degree: int
-    range_: float
-    coeffs: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValidationError(f"degree must be nonnegative, got {self.degree}")
-        if self.range_ < 0:
-            raise ValidationError(f"range must be nonnegative, got {self.range_}")
-        c = np.array([1.0 / math.factorial(j) if j <= 170 else math.exp(-math.lgamma(j + 1))
-                      for j in range(self.degree + 1)])
-        object.__setattr__(self, "coeffs", c)
-
-    def remainder_bound(self):
-        if self.range_ == 0.0:
-            return 0.0
-        lb = _log_remainder(self.range_, self.degree)
-        return math.inf if lb > 709.0 else math.exp(lb)
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            out = out * x + c
-        return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _series_weight(denom, alpha):
+    # 1/alpha! from the exact integer alpha!, or in log space once that
+    # integer no longer fits in a double
+    try:
+        return 1.0 / float(denom)
+    except OverflowError:
+        return math.exp(-sum(math.lgamma(a + 1) for a in alpha))
 
 
 @dataclass(frozen=True)
@@ -132,24 +102,25 @@ class MonomialBasis:
 
     Entries are in graded-lexicographic order (degree first, then lex with
     the first variable ranked highest), so factor matrices built on the same
-    basis are reproducible byte for byte.  ``weights`` holds the multinomial
-    coefficient |alpha|! / prod_t alpha_t! of each entry and
-    ``series_weights`` the series weight 1 / prod_t alpha_t!.
+    basis are reproducible byte for byte.
 
-    The recurrence fields let each monomial be built from one earlier one:
-    entry i > 0 equals its parent ``parents[i]`` times variable
-    ``variables[i]`` (the first variable with a nonzero exponent), so
-    ``exponents[i] = exponents[parents[i]] + e_variables[i]``.  Entry 0, the
+    The basis is built from its runs.  In this order the entries of degree
+    m whose first nonzero exponent is v are one contiguous run, and they are
+    e_v plus the last C(m+d-2-v, d-1-v) entries of degree m - 1, in the
+    same order.  ``blocks`` lists these runs, one row (dst, src, length, v)
+    per (m, v) with m >= 1: entries ``dst:dst + length`` are entries
+    ``src:src + length`` times variable v.  ``kernels.feature_rows`` walks
+    the same table.  Every per-entry array is filled run by run from it:
+    entry i > 0 has parent ``parents[i]`` and variable ``variables[i]``, so
+    ``exponents[i] = exponents[parents[i]] + e_variables[i]``; entry 0, the
     constant monomial, has parent and variable -1.  Degree m occupies the
-    entries ``degree_bounds[m]:degree_bounds[m + 1]``, and every parent of
-    degree m lies in degree m - 1.
+    entries ``degree_bounds[m]:degree_bounds[m + 1]``.
 
-    In this order the entries of degree m whose first nonzero variable is v
-    are one contiguous run, and their parents are the last entries of degree
-    m - 1, in the same order.  ``blocks`` lists these runs, one row
-    (dst, src, length, v) per (m, v) with m >= 1: entries
-    ``dst:dst + length`` are entries ``src:src + length`` times variable v.
-    All arrays are read-only.
+    Each run also carries the exact integer alpha! = prod_t alpha_t! forward
+    from its parents.  ``weights`` holds the multinomial coefficient
+    |alpha|! / alpha! of each entry, and ``series_weights`` the one series
+    weight 1 / alpha!: 1/float(alpha!) while that float is finite,
+    exp(-sum_t lgamma(alpha_t + 1)) past it.  All arrays are read-only.
     """
 
     d: int
@@ -164,54 +135,44 @@ class MonomialBasis:
     blocks: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"d must be positive, got {self.d}")
-        if self.g < 0:
-            raise ValidationError(f"g must be nonnegative, got {self.g}")
-        size = math.comb(self.d + self.g, self.g)
+        d, g = self.d, self.g
+        if d < 1:
+            raise ValidationError(f"d must be positive, got {d}")
+        if g < 0:
+            raise ValidationError(f"g must be nonnegative, got {g}")
+        size = math.comb(d + g, g)
         if size > RANK_CAP:
             raise ValidationError(
-                f"basis size C({self.d}+{self.g},{self.g}) = {size} exceeds "
-                f"rank cap {RANK_CAP}"
+                f"basis size C({d}+{g},{g}) = {size} exceeds rank cap {RANK_CAP}"
             )
-        exps = np.empty((size, self.d), dtype=np.int64)
-        w = np.empty(size)
-        sw = np.empty(size)
-        deg = np.empty(size, dtype=np.int64)
+        exps = np.zeros((size, d), dtype=np.int64)
+        denoms = np.ones(size, dtype=object)  # exact integers alpha!
+        w = np.ones(size)
         parents = np.full(size, -1, dtype=np.intp)
         variables = np.full(size, -1, dtype=np.intp)
-        bounds = np.empty(self.g + 2, dtype=np.intp)
-        index = {}
-        i = 0
-        for m in range(self.g + 1):
-            bounds[m] = i
-            m_fact = math.factorial(m)
-            for alpha in _compositions(m, self.d):
-                exps[i] = alpha
-                index[alpha] = i
-                if m > 0:
-                    v = next(t for t, a in enumerate(alpha) if a)
-                    parents[i] = index[alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]]
-                    variables[i] = v
-                denom = 1
-                for a in alpha:
-                    denom *= math.factorial(a)
-                w[i] = float(m_fact // denom)  # multinomials are integers
-                # series weight 1/denom; drop to log space once the exact
-                # integer no longer fits in a double
-                if denom.bit_length() <= 1000:
-                    sw[i] = 1.0 / float(denom)
-                else:
-                    sw[i] = math.exp(-sum(math.lgamma(a + 1) for a in alpha))
-                deg[i] = m
-                i += 1
-        bounds[self.g + 1] = i
-        # a run starts wherever the degree or the first variable changes
-        starts = np.flatnonzero((deg[1:] != deg[:-1]) | (variables[1:] != variables[:-1])) + 1
-        ends = np.append(starts, size)[1:]
-        blocks = np.stack([starts, parents[starts], ends - starts, variables[starts]], axis=1)
+        # degree 0 is entry 0 alone; bounds[2:] are overwritten below
+        bounds = np.arange(g + 2, dtype=np.intp)
+        runs = []
+        for m in range(1, g + 1):
+            lo = i = bounds[m]  # degree m - 1 ends where degree m starts
+            for v in range(d):
+                length = math.comb(m + d - 2 - v, d - 1 - v)
+                src = lo - length
+                run = slice(i, i + length)
+                exps[run] = exps[src:lo]
+                exps[run, v] += 1
+                denoms[run] = denoms[src:lo] * exps[run, v].astype(object)
+                parents[run] = np.arange(src, lo)
+                variables[run] = v
+                runs.append((i, src, length, v))
+                i += length
+            bounds[m + 1] = i
+            # multinomials are integers
+            w[lo:i] = (math.factorial(m) // denoms[lo:i]).astype(np.float64)
+        sw = np.array([_series_weight(q, a) for q, a in zip(denoms.tolist(), exps.tolist())])
+        blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
         for name, a in (("exponents", exps), ("weights", w), ("series_weights", sw),
-                        ("degrees", deg), ("parents", parents),
+                        ("degrees", exps.sum(axis=1)), ("parents", parents),
                         ("variables", variables), ("degree_bounds", bounds),
                         ("blocks", blocks)):
             a.flags.writeable = False

@@ -153,15 +153,15 @@ def test_criterion_6_hardness_bounds():
     t0 = time.perf_counter()
     hi = tk.make_hard_instance(8, 2, 3.0, 5)
     bound = 8.0 * hi.Ba * hi.n * hi.d
-    max_fp = max(abs(tk.f_prime(hi, float(l))) for l in np.linspace(0, 1, 21))
+    lams = np.linspace(0.0, 1.0, 21)
+    curve = hardness.curve(hi, lams)
+    max_fp = float(np.abs(curve.fp).max())
 
-    sandwich_ok = True
-    for lam in np.linspace(0.0, 1.0, 21):
-        h = hardness.row_denominators(hi, float(lam))
-        lo = (hi.n ** 2 / 2.0) ** 2 * np.exp(2 * hi.Ba * lam)
-        up = float(hi.n) ** 4 * np.exp(2 * hi.Ba * lam)
-        sandwich_ok &= bool((h >= lo * (1 - 1e-12)).all()
-                            and (h <= up * (1 + 1e-12)).all())
+    growth = np.exp(2 * hi.Ba * lams)[:, None]
+    lo = (hi.n ** 2 / 2.0) ** 2 * growth
+    up = float(hi.n) ** 4 * growth
+    sandwich_ok = bool((curve.h >= lo * (1 - 1e-12)).all()
+                       and (curve.h <= up * (1 + 1e-12)).all())
 
     f0, f1 = tk.f_lambda(hi, 0.0), tk.f_lambda(hi, 1.0)
     b_emp = hardness.empirical_second_derivative_bound(hi)
@@ -176,7 +176,7 @@ def test_criterion_6_hardness_bounds():
              f"averaging within b_emp/t for t in (1,10,100)")
 
 
-def test_criterion_7_cli_contract(tmp_path, monkeypatch):
+def test_criterion_7_cli_contract(tmp_path, monkeypatch, perturb_grad_fast):
     t0 = time.perf_counter()
     a, b = tmp_path / "a.tat", tmp_path / "b.tat"
     args = ["gen", "--n", "8", "--d", "2", "--bound", "0.8", "--seed", "7"]
@@ -185,9 +185,9 @@ def test_criterion_7_cli_contract(tmp_path, monkeypatch):
     byte_stable = a.read_bytes() == b.read_bytes()
 
     rc_ok = cli.main(["check", "--in", str(a), "--eps", "1e-8", "--tol", "1e-6"])
-    monkeypatch.setattr(cli, "_check_perturbation", 1e-2)
+    perturb_grad_fast(1e-2)
     rc_bad = cli.main(["check", "--in", str(a), "--eps", "1e-8", "--tol", "1e-6"])
-    monkeypatch.setattr(cli, "_check_perturbation", 0.0)
+    perturb_grad_fast(0.0)
     monkeypatch.setenv("TAT_EXACT_CAP", "4")
     rc_cap = cli.main(["grad", "--in", str(a), "--engine", "exact"])
     monkeypatch.delenv("TAT_EXACT_CAP")

@@ -86,14 +86,14 @@ def test_grad_cap_guard(tmp_path, monkeypatch):
     assert rc == 1
 
 
-def test_check_pass_and_perturbation_hook(tmp_path, capsys, monkeypatch):
+def test_check_pass_and_perturbation_hook(tmp_path, capsys, perturb_grad_fast):
     path = _gen(tmp_path)
     assert cli.main(["check", "--in", str(path), "--eps", "1e-8",
                      "--tol", "1e-6"]) == 0
     err = capsys.readouterr().err
     assert "OK" in err
 
-    monkeypatch.setattr(cli, "_check_perturbation", 1e-3)
+    perturb_grad_fast(1e-3)
     rc = cli.main(["check", "--in", str(path), "--eps", "1e-8", "--tol", "1e-6"])
     assert rc == 2
 
@@ -137,6 +137,19 @@ def test_bench_bad_nlist():
     assert cli.main(["bench", "--n-list", "4,x", "--engine", "fast"]) == 1
 
 
+@pytest.mark.parametrize("bound", ["inf", "nan", "1e308"])
+def test_gen_rejects_bound_without_finite_range(bound, capsys):
+    # the uniform draw over [-bound, bound] raised OverflowError
+    assert cli.main(["gen", "--n", "2", "--d", "1", "--bound", bound]) == 1
+    assert "validation error: bound" in capsys.readouterr().err
+
+
+def test_bench_rejects_infinite_bound(capsys):
+    assert cli.main(["bench", "--n-list", "4", "--engine", "fast",
+                     "--bound", "inf"]) == 1
+    assert "validation error: bound" in capsys.readouterr().err
+
+
 def test_probe_ok(capsys):
     rc = cli.main(["probe", "--n", "8", "--d", "2", "--ba", "3",
                    "--seed", "5", "--t", "100"])
@@ -165,6 +178,13 @@ def test_probe_evaluates_each_lambda_grid_once(capsys, monkeypatch):
 
 def test_probe_validation():
     assert cli.main(["probe", "--n", "4", "--d", "2", "--ba", "0.5"]) == 1
+
+
+@pytest.mark.parametrize("ba", ["inf", "nan"])
+def test_probe_rejects_non_finite_ba(ba, capsys):
+    # the uniform draw over [1, ba] raised OverflowError
+    assert cli.main(["probe", "--n", "4", "--d", "2", "--ba", ba]) == 1
+    assert "validation error: Ba" in capsys.readouterr().err
 
 
 def test_unknown_flag_and_usage(capsys):

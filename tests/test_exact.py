@@ -22,6 +22,11 @@ def _with_target(inst, e):
     )
 
 
+def _weights_at(inst, x):
+    # F with a composite x in place of the one derived from X1, X2, X3
+    return exact._softmax_rows(exact._scores(inst, x))
+
+
 def _column_instance(n=2, d=1):
     c = np.array([[1.0], [-1.0]])
     one = np.array([[1.0]])
@@ -178,15 +183,15 @@ def test_grad_fd_noise_floor_and_convergence():
 
 
 def test_grad_fd_matches_loss_loop():
-    # reference: every loss evaluation rebuilds its constants through the
-    # public attention_weights; grad_fd must agree bit for bit
+    # reference: every loss evaluation rebuilds its constants through
+    # _scores; grad_fd must agree bit for bit
     step = 1e-5
     for d in (1, 2, 3):
         inst = _instance(6, d, 20 + d, bound=0.8)
         h = tk.col_kron(inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
 
         def loss_at(x):
-            r = exact.attention_weights(inst, x) @ h - inst.E
+            r = _weights_at(inst, x) @ h - inst.E
             return 0.5 * float((r * r).sum())
 
         x0 = inst.composite_x()
@@ -222,7 +227,7 @@ def test_attention_row_derivative_identity():
         for m in range(d * d):
             xp = x0.copy(); xp[a, m] += h
             xm = x0.copy(); xm[a, m] -= h
-            fd = (exact.attention_weights(inst, xp) - exact.attention_weights(inst, xm)) / (2 * h)
+            fd = (_weights_at(inst, xp) - _weights_at(inst, xm)) / (2 * h)
             for j0 in range(n):
                 col = inst.A1[j0, a] * ka[:, m]
                 want = (col * f0[j0] - (col @ f0[j0]) * f0[j0]) / d
@@ -234,6 +239,8 @@ def test_caps_and_overflow_guard(monkeypatch):
     with pytest.raises(ValidationError, match="TAT_EXACT_CAP"):
         tk.forward(_instance(5, 2, 0))
     monkeypatch.delenv("TAT_EXACT_CAP")
+    assert exact.exact_cap() == exact.DEFAULT_EXACT_CAP
+    monkeypatch.setenv("TAT_EXACT_CAP", "")
     assert exact.exact_cap() == exact.DEFAULT_EXACT_CAP
 
     big = _instance(2, 1, 0)
@@ -254,6 +261,15 @@ def _diagonal_instance(c):
                            E=np.zeros((2, 2)), X1=eye, X2=eye, X3=eye, Y1=eye, Y2=eye)
 
 
+@pytest.mark.parametrize("raw", ["1e3", "abc", "0", "-4"])
+def test_exact_cap_rejects_malformed_env(raw, monkeypatch):
+    # a malformed cap fell back to the default, and the cap error then told
+    # the user to set the same variable
+    monkeypatch.setenv("TAT_EXACT_CAP", raw)
+    with pytest.raises(ValidationError, match=f"TAT_EXACT_CAP.*'{raw}'"):
+        exact.exact_cap()
+
+
 def test_exp_guard_uses_row_bound():
     inst = _diagonal_instance(20.0)  # R = 100, old product 2000
     assert float(np.abs(exact._scores(inst)).max()) == 100.0
@@ -269,7 +285,7 @@ def test_exp_guard_uses_row_bound():
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
         tk.forward(nan_bound)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
-        exact.attention_weights(nan_bound, 1e200 * eye)
+        _weights_at(nan_bound, 1e200 * eye)
 
 
 def test_instance_validation():

@@ -284,7 +284,8 @@ def test_audit_leaves_an_outer_trace_running():
 
 
 def test_audit_stops_its_trace_when_it_raises():
-    # n = 8 is below k1, so the named-buffer audit fails on Phi(K1)
+    # n = 8 is below k1, so the n x k1 feature buffer alone is over one
+    # n^2-entry buffer and the peak audit fails
     with pytest.raises(NumericalError, match="allocation audit"):
         tk.grad_fast(tk.random_instance(8, 2, 0.8, 1), 1e-6, audit=True)
     assert not tracemalloc.is_tracing()

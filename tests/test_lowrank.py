@@ -44,29 +44,40 @@ def test_choose_degree_validation():
             tk.choose_degree(r, 1e-6)
 
 
+def _series(x, g):
+    # the scalar truncated series sum_{j <= g} x^j / j!, term by term
+    out = np.zeros_like(x)
+    for j in range(g + 1):
+        out += x ** j / math.factorial(j)
+    return out
+
+
 def test_poly_approx_past_largest_double_factorial():
-    # 171! overflows a double; the degree the engine admits at R=60 is 256
+    # 171! overflows a double; the degree the engine admits at R=60 is 256.
+    # At d = 1 the basis is the scalar series grad_fast evaluates
     g = tk.choose_degree(60.0, 5e-7)
     assert g > 170
-    poly = tk.PolyExpApprox(degree=g, range_=60.0)
-    assert poly.coeffs[:171].tolist() == [1.0 / math.factorial(j) for j in range(171)]
-    tail = poly.coeffs[171:]
+    c = tk.build_basis(1, g).series_weights
+    assert c[:171].tolist() == [1.0 / math.factorial(j) for j in range(171)]
+    tail = c[171:]
     assert (tail >= 0).all() and (np.diff(tail) <= 0).all()
     assert math.isclose(tail[0], math.exp(-math.lgamma(172)))
-    assert poly.remainder_bound() <= 5e-7
+    assert 60.0 + (g + 1) * math.log(60.0) - math.lgamma(g + 2) <= math.log(5e-7)
     xs = np.linspace(0.0, 60.0, 61)
-    assert np.abs(poly.evaluate(xs) / np.exp(xs) - 1.0).max() <= 1e-12
+    got = np.polynomial.polynomial.polyval(xs, c)
+    assert np.abs(got / np.exp(xs) - 1.0).max() <= 1e-12
 
 
 def test_poly_approx_grid_error_within_remainder():
     for r, eps in ((0.5, 1e-6), (1.0, 1e-8), (2.0, 1e-4)):
         g = tk.choose_degree(r, eps)
-        poly = tk.PolyExpApprox(degree=g, range_=r)
+        b = tk.build_basis(1, g)
         xs = np.linspace(-r, r, 1001)
-        err = np.abs(poly.evaluate(xs) - np.exp(xs)).max()
-        assert err <= poly.remainder_bound() <= eps
+        p = tk.feature_map(xs[:, None], b) @ b.series_weights
+        err = np.abs(p - np.exp(xs)).max()
+        assert err <= _remainder(r, g) <= eps
         # remainder below e^-r forces positivity on the whole range
-        assert (poly.evaluate(xs) > 0).all()
+        assert (p > 0).all()
 
 
 def test_basis_graded_lex_order_and_weights():
@@ -78,6 +89,18 @@ def test_basis_graded_lex_order_and_weights():
     assert b1.size == 4 and (b1.weights == 1.0).all()
 
     assert tk.build_basis(2, 9).size == 55
+
+
+def test_basis_is_every_composition_in_graded_lex_order():
+    # distinct, C(d+g, g) of them, degree <= g: every composition once; and
+    # sorted by (degree, descending lex)
+    for d in range(1, 6):
+        for g in range(11):
+            rows = [tuple(r) for r in tk.build_basis(d, g).exponents.tolist()]
+            assert len(set(rows)) == len(rows) == math.comb(d + g, g)
+            assert all(min(r) >= 0 and sum(r) <= g for r in rows)
+            want = sorted(rows, key=lambda r: (sum(r), [-a for a in r]))
+            assert rows == want, (d, g)
 
 
 def test_basis_count_law():
@@ -163,7 +186,6 @@ def test_feature_map_reproduces_truncated_series():
     rng = np.random.default_rng(1)
     g = 9
     b = tk.build_basis(2, g)
-    poly = tk.PolyExpApprox(degree=g, range_=0.5)
     for _ in range(25):
         q = rng.uniform(-0.5, 0.5, (1, 2))
         k1 = rng.uniform(-0.5, 0.5, (1, 2))
@@ -172,7 +194,7 @@ def test_feature_map_reproduces_truncated_series():
         f1 = tk.feature_map(k1, b)
         f2 = tk.feature_map(k2, b)
         got = float((fq @ (f1 * f2).T)[0, 0])
-        want = float(poly.evaluate(np.array(q[0] @ (k1[0] * k2[0]))))
+        want = float(_series(np.array(q[0] @ (k1[0] * k2[0])), g))
         assert abs(got - want) <= 1e-12
 
 
@@ -299,9 +321,7 @@ def test_scalar_series_fidelity_invariant():
     rng = np.random.default_rng(6)
     r = 1.0
     g = tk.choose_degree(r, 1e-6)
-    poly = tk.PolyExpApprox(degree=g, range_=r)
+    b = tk.build_basis(1, g)
     xs = rng.uniform(-r, r, 1000)
-    series = np.zeros_like(xs)
-    for j in range(g + 1):
-        series += xs ** j / math.factorial(j)
-    assert np.abs(poly.evaluate(xs) - series).max() <= 1e-13
+    got = tk.feature_map(xs[:, None], b) @ b.series_weights
+    assert np.abs(got - _series(xs, g)).max() <= 1e-13
