@@ -3,7 +3,8 @@
 Two interchangeable gradient engines for the Kronecker-structured attention
 loss: an exact dense cubic engine and an almost-linear low-rank engine built
 on truncated-series feature maps, plus hard-instance probes and a CLI for
-generation, verification, and scaling benchmarks.
+generation, verification, and scaling benchmarks.  Both engines are built
+from three Kronecker-family products: ``kron``, ``col_kron`` and ``row_kron``.
 """
 
 from .errors import NumericalError, TatError, ToleranceError, ValidationError
@@ -40,18 +41,7 @@ from .lowrank import (
     choose_degree,
     feature_map,
 )
-from .tensorops import (
-    col_kron,
-    gram_col_kron,
-    identity_tensor,
-    kron,
-    mat3,
-    odot3_matricized,
-    row_kron,
-    tensorize3,
-    third_mode_product,
-    vec,
-)
+from .tensorops import col_kron, kron, row_kron
 
 __version__ = "0.1.0"
 
@@ -84,16 +74,9 @@ __all__ = [
     "grad_exact",
     "grad_fast",
     "grad_fd",
-    "gram_col_kron",
-    "identity_tensor",
     "kron",
     "loss",
     "make_hard_instance",
-    "mat3",
-    "odot3_matricized",
     "random_instance",
     "row_kron",
-    "tensorize3",
-    "third_mode_product",
-    "vec",
 ]

@@ -108,6 +108,8 @@ def _cmd_grad(args):
 
 
 def _cmd_check(args):
+    if not args.tol >= 0:  # a nan fails too
+        raise ValidationError(f"--tol must be a nonnegative number, got {args.tol}")
     inst = fileio.read_instance(args.infile)
     g_ref = exact.grad_exact(inst)
     g_fast = fastgrad.grad_fast(inst, args.eps).g_tilde

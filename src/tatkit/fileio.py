@@ -69,21 +69,21 @@ def parse_instance(text):
         if label != name:
             _fail(ln, f"expected block {name!r}, got {label!r}")
         rows, cols = (n, d) if name in ("A1", "A2", "A3", "A4", "A5", "E") else (d, d)
-        block = np.empty((rows, cols))
+        block = []  # filled as rows are read: a header larger than the file allocates nothing
         for r in range(rows):
             line, ln = next_line(f"row {r + 1} of {name}")
             vals = line.split()
             if len(vals) != cols:
                 _fail(ln, f"{name} row {r + 1}: expected {cols} values, got {len(vals)}")
-            for c, tok in enumerate(vals):
+            for tok in vals:
                 try:
                     v = float(tok)
                 except ValueError:
                     _fail(ln, f"{name} row {r + 1}: bad number {tok!r}")
                 if not math.isfinite(v):
                     _fail(ln, f"{name} row {r + 1}: non-finite value {tok!r}")
-                block[r, c] = v
-        blocks[name] = block
+                block.append(v)
+        blocks[name] = np.array(block).reshape(rows, cols)
     if pos != len(lines):
         _fail(pos + 1, f"trailing content after the {MATRIX_FIELDS[-1]} block")
     return AttnInstance(n=n, d=d, **blocks)

@@ -12,10 +12,9 @@ f, its analytic derivative, the row normalizers and the averaging
 estimator, all via per-row sums (g, g', h, h') so no quotient is formed
 before the row-level division.  ``curve`` is the one evaluator: it takes a
 vector of lambdas and batches them through ``kernels.hard_probe_rows``, so
-each caller evaluates its whole lambda grid in one call.  ``f_lambda`` and
-``f_prime`` read it at a single lambda; ``empirical_second_derivative_bound``
-and ``avg_estimate`` on their fixed grids; ``tat probe`` reads f, f' and h
-from it directly.
+each caller evaluates a lambda grid in one call.  ``f_lambda`` and ``f_prime``
+read it at one lambda, ``empirical_second_derivative_bound`` on its fixed grid,
+``avg_estimate`` one kernel block at a time and ``tat probe`` for f, f' and h.
 """
 
 import math
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, ValidationError
-from .exact import EXP_ARG_LIMIT
+from .exact import EXP_ARG_LIMIT, _check_cap
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,7 @@ def make_hard_instance(n, d, ba, seed):
     """Random instance satisfying the row-majority structure, seed-stable."""
     if n < 1 or d < 1:
         raise ValidationError(f"n and d must be positive, got n={n} d={d}")
+    _check_cap(n)  # H is dense, n x n^2
     if not 1 <= ba < math.inf:  # a nan fails too
         raise ValidationError(f"Ba must be finite and at least 1, got {ba}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -87,6 +87,14 @@ _F2_POINTS = 101  # grid on [0, 1] over which max |f''| is taken
 Curve = namedtuple("Curve", "f fp h")
 
 
+def _probe_block(hi, lam_max):
+    """Lambdas per hard_probe_rows call, once ``lam_max`` * Ba is within the exp limit."""
+    top = float(lam_max) * hi.Ba
+    if top > EXP_ARG_LIMIT:
+        raise NumericalError(f"lambda * Ba = {top:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
+    return max(1, _PROBE_ENTRIES // hi.H.size)
+
+
 def curve(hi, lams):
     """f, f' (length L) and the row normalizers h (L x n) at each of L ``lams``.
 
@@ -94,10 +102,7 @@ def curve(hi, lams):
     on the largest lambda; the kernel gets blocks of _PROBE_ENTRIES // n^3.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    top = float(lams.max()) * hi.Ba
-    if top > EXP_ARG_LIMIT:
-        raise NumericalError(f"lambda * Ba = {top:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
-    block = max(1, _PROBE_ENTRIES // hi.H.size)
+    block = _probe_block(hi, lams.max())
     rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
                            for i in range(0, lams.size, block)])
     g, gp, h, hp = np.moveaxis(rows, -1, 0)
@@ -125,9 +130,14 @@ def avg_estimate(hi, t):
     """s_t: the mean of f' over the left-endpoint grid {0, 1/t, ..., (t-1)/t}.
 
     Approximates f(1) - f(0) with error at most max|f''| / t.  f' is summed
-    in grid order, so s_t does not depend on how the grid is batched.
+    in grid order one kernel block at a time, so s_t does not depend on the
+    blocking and memory does not grow with t.
     """
     t = int(t)
     if t < 1:
         raise ValidationError(f"t must be at least 1, got {t}")
-    return sum(curve(hi, np.arange(t) / t).fp.tolist()) / t
+    block = _probe_block(hi, (t - 1) / t)
+    total = 0
+    for lo in range(0, t, block):
+        total = sum(curve(hi, np.arange(lo, min(lo + block, t)) / t).fp.tolist(), total)
+    return total / t

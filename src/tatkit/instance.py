@@ -70,10 +70,6 @@ class AttnInstance:
             self.A5 @ self.Y2,
         )
 
-    def b_eff(self):
-        """Largest absolute entry over the five projected inputs."""
-        return max(float(np.abs(m).max()) for m in self.projected())
-
 
 def random_instance(n, d, bound, seed):
     """Draw an instance with i.i.d. uniform entries in [-bound, bound].

@@ -237,11 +237,12 @@ class LowRankTriple:
     def k(self):
         return self.U.shape[1]
 
-    def materialize(self, cap=MATERIALIZE_CAP):
-        """Dense n x n^2 matrix; desk-scale verification only (n capped)."""
-        if self.n > cap:
+    def materialize(self):
+        """Dense n x n^2 matrix, n <= MATERIALIZE_CAP: the one dense form of a
+        triple, which the specification tests and the identities compare to."""
+        if self.n > MATERIALIZE_CAP:
             raise ValidationError(
-                f"materialize capped at n <= {cap} (got n={self.n})"
+                f"materialize capped at n <= {MATERIALIZE_CAP} (got n={self.n})"
             )
         n, k = self.n, self.k
         # accumulate over column blocks so the col_kron scratch stays small

@@ -1,15 +1,12 @@
-"""Kronecker-family products and third-order tensor plumbing.
+"""The three Kronecker-family products the attention engines are built from.
 
 Index convention, used consistently by every routine here and by the
-attention engines built on top: in any combined axis the *first* factor's
-index moves slowest.  Concretely, with 1-based indices,
+engines built on top: in any combined axis the *first* factor's index moves
+slowest.  Concretely, with 1-based indices,
 
 * ``kron(A, B)[(i1-1)*n2 + i2, (j1-1)*d2 + j2] = A[i1, j1] * B[i2, j2]``
 * ``col_kron(A, B)[(i1-1)*n2 + i2, j]          = A[i1, j]  * B[i2, j]``
 * ``row_kron(A, B)[i, (j1-1)*d2 + j2]          = A[i, j1]  * B[i, j2]``
-* ``vec(A)[(i-1)*d + j]                        = A[i, j]`` (row-major stack)
-* a third-order tensor entry ``(a, b, c)`` lives at flat offset
-  ``((a-1)*d2 + (b-1))*d3 + (c-1)``, i.e. plain C order.
 
 ``np.kron`` already follows this layout for 2-D inputs; the col/row variants
 share columns respectively rows instead of combining both axes.
@@ -18,8 +15,6 @@ share columns respectively rows instead of combining both axes.
 import numpy as np
 
 from .errors import ValidationError
-
-THIRD_MODE_CAP = 32
 
 
 def _as_matrix(name, a):
@@ -66,98 +61,3 @@ def row_kron(a, b):
     n, d1 = a.shape
     d2 = b.shape[1]
     return (a[:, :, None] * b[:, None, :]).reshape(n, d1 * d2)
-
-
-def gram_col_kron(a1, a2, b1, b2):
-    """Compute ``col_kron(a1, a2).T @ col_kron(b1, b2)`` without the tall product.
-
-    Equals ``(a1.T @ b1) * (a2.T @ b2)`` entrywise, so the cost is two small
-    Gram-style products instead of materializing n1*n2 rows.
-    """
-    a1 = _as_matrix("a1", a1)
-    a2 = _as_matrix("a2", a2)
-    b1 = _as_matrix("b1", b1)
-    b2 = _as_matrix("b2", b2)
-    if a1.shape[1] != a2.shape[1]:
-        raise ValidationError("a1 and a2 must share a column count")
-    if b1.shape[1] != b2.shape[1]:
-        raise ValidationError("b1 and b2 must share a column count")
-    if a1.shape[0] != b1.shape[0] or a2.shape[0] != b2.shape[0]:
-        raise ValidationError("a1/b1 and a2/b2 must pair up by row count")
-    return (a1.T @ b1) * (a2.T @ b2)
-
-
-def odot3_matricized(u, v, w):
-    """Materialize ``u @ col_kron(v, w).T`` (n x n^2), the flattened rank-k
-    triple product with entries ``sum_a u[i,a] v[j,a] w[l,a]`` at column
-    ``(j-1)*n + l``."""
-    u = _as_matrix("u", u)
-    v = _as_matrix("v", v)
-    w = _as_matrix("w", w)
-    if not (u.shape[1] == v.shape[1] == w.shape[1]):
-        raise ValidationError(
-            f"odot3_matricized needs equal column counts, got "
-            f"{u.shape[1]}, {v.shape[1]}, {w.shape[1]}"
-        )
-    return u @ col_kron(v, w).T
-
-
-def third_mode_product(x3, a1, a2, a3, cap=THIRD_MODE_CAP):
-    """Dense evaluation of a d x d x d tensor pushed through three n x d maps.
-
-    ``out[i, j, l] = sum_{a,b,c} x3[a,b,c] a1[i,a] a2[j,b] a3[l,c]``.  This is
-    an oracle-grade cubic routine: n is capped (default 32) because the
-    output has n^3 entries.
-    """
-    x3 = np.asarray(x3, dtype=np.float64)
-    if x3.ndim != 3:
-        raise ValidationError(f"x3 must be 3-D, got ndim={x3.ndim}")
-    a1 = _as_matrix("a1", a1)
-    a2 = _as_matrix("a2", a2)
-    a3 = _as_matrix("a3", a3)
-    n = a1.shape[0]
-    if a2.shape[0] != n or a3.shape[0] != n:
-        raise ValidationError("a1, a2, a3 must share a row count")
-    if (a1.shape[1], a2.shape[1], a3.shape[1]) != x3.shape:
-        raise ValidationError(
-            f"column counts {a1.shape[1]},{a2.shape[1]},{a3.shape[1]} "
-            f"must match tensor dims {x3.shape}"
-        )
-    if n > cap:
-        raise ValidationError(
-            f"third_mode_product capped at n <= {cap} (got n={n}); "
-            f"the dense result would hold n^3 entries"
-        )
-    return np.einsum("abc,ia,jb,lc->ijl", x3, a1, a2, a3, optimize=True)
-
-
-def vec(a):
-    """Stack rows of a matrix into one long vector (row-major flatten)."""
-    a = _as_matrix("a", a)
-    return a.reshape(-1).copy()
-
-
-def mat3(t):
-    """Flatten a d1 x d2 x d3 tensor to d1 x (d2*d3), last index fastest."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValidationError(f"mat3 expects a 3-D tensor, got ndim={t.ndim}")
-    return t.reshape(t.shape[0], t.shape[1] * t.shape[2]).copy()
-
-
-def tensorize3(m, d2, d3):
-    """Inverse of :func:`mat3`: reshape d1 x (d2*d3) back to (d1, d2, d3)."""
-    m = _as_matrix("m", m)
-    if m.shape[1] != d2 * d3:
-        raise ValidationError(
-            f"tensorize3: {m.shape[1]} columns cannot split into {d2} x {d3}"
-        )
-    return m.reshape(m.shape[0], d2, d3).copy()
-
-
-def identity_tensor(d):
-    """The d x d x d tensor with ones on the superdiagonal."""
-    t = np.zeros((d, d, d))
-    idx = np.arange(d)
-    t[idx, idx, idx] = 1.0
-    return t

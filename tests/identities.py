@@ -1,15 +1,19 @@
 """Algebraic identity checks on small random integer matrices.
 
 Each check draws its own shapes and entries from the supplied generator and
-asserts exact (or 1e-12, where real-valued) agreement.  Unit tests run a
-handful of cases per identity; the acceptance suite runs 200 each.
+asserts exact (or 1e-12, where real-valued) agreement.  Every check runs the
+library's ``kron``, ``col_kron``, ``row_kron`` or ``LowRankTriple.materialize``
+against the loop oracles or plain numpy: vec is ``ravel``, the matricized
+tensor is a reshape, and the identity tensor I_d, matricized, is
+``np.eye(d * d)[::d + 1]`` (row a holds its one at column a * (d + 1)).  Unit
+tests run a handful of cases per identity; the acceptance suite runs 200 each.
 """
 
 import numpy as np
 
 import tatkit as tk
 
-from oracles import odot3_tensor_loops
+from oracles import odot3_tensor_loops, third_mode_loops
 
 
 def _ints(rng, *shape):
@@ -43,14 +47,12 @@ def check_distribution(rng):
 
 
 def check_vec_trick(rng):
-    # vec(A1 @ X @ A2.T) == kron(A1, A2) @ vec(X)
+    # vec(A1 @ X @ A2.T) == kron(A1, A2) @ vec(X), vec the row-major ravel
     n1, d1 = _dims(rng)
     n2, d2 = _dims(rng)
     a1, a2 = _ints(rng, n1, d1), _ints(rng, n2, d2)
     x = _ints(rng, d1, d2)
-    lhs = tk.vec(a1 @ x @ a2.T)
-    rhs = tk.kron(a1, a2) @ tk.vec(x)
-    assert (lhs == rhs).all()
+    assert ((a1 @ x @ a2.T).ravel() == tk.kron(a1, a2) @ x.ravel()).all()
 
 
 def check_transpose_rules(rng):
@@ -78,56 +80,59 @@ def check_swap_rules(rng):
 
 
 def check_kron_identity_collapse(rng):
-    # kron(A1, A2) @ mat3(I_d).T == col_kron(A1, A2)
+    # kron(A1, A2) @ mat(I_d).T == col_kron(A1, A2)
     n, d = _dims(rng)
     a1, a2 = _ints(rng, n, d), _ints(rng, n, d)
-    eye = tk.mat3(tk.identity_tensor(d))
+    eye = np.eye(d * d)[::d + 1]
     assert (tk.kron(a1, a2) @ eye.T == tk.col_kron(a1, a2)).all()
 
 
 def check_odot_matricization(rng):
-    # U @ col_kron(V, W).T flattens the rank-k triple tensor
+    # the dense triple U @ col_kron(V, W).T flattens the rank-k triple tensor
     n, k = _dims(rng)
     u, v, w = _ints(rng, n, k), _ints(rng, n, k), _ints(rng, n, k)
     want = odot3_tensor_loops(u, v, w).reshape(n, n * n)
-    assert (tk.odot3_matricized(u, v, w) == want).all()
+    assert (tk.LowRankTriple(U=u, V=v, W=w).materialize() == want).all()
 
 
 def check_third_mode_distribute(rng):
-    # pushing maps through a rank-k triple tensor hits each factor
+    # pushing maps through a rank-k triple tensor hits each factor:
+    # A1.T @ mat(T) @ kron(A2, A3) is the triple (A1.T W1, A2.T W2, A3.T W3)
     n, d = _dims(rng)
     k = int(rng.integers(1, 6))
     a1, a2, a3 = (_ints(rng, n, d) for _ in range(3))
     w1, w2, w3 = (_ints(rng, n, k) for _ in range(3))
-    t = odot3_tensor_loops(w1, w2, w3)
-    lhs = tk.third_mode_product(t, a1.T, a2.T, a3.T)
-    rhs = odot3_tensor_loops(a1.T @ w1, a2.T @ w2, a3.T @ w3)
+    t = tk.LowRankTriple(U=w1, V=w2, W=w3).materialize()
+    lhs = a1.T @ t @ tk.kron(a2, a3)
+    rhs = odot3_tensor_loops(a1.T @ w1, a2.T @ w2, a3.T @ w3).reshape(d, d * d)
     assert (lhs == rhs).all()
 
 
 def check_third_mode_matricization(rng):
-    # A1 @ mat3(X) @ kron(A2, A3).T agrees with the mode-wise contraction
+    # A1 @ mat(X) @ kron(A2, A3).T agrees with the mode-wise contraction
     n, d = _dims(rng)
-    x3 = _ints(rng, d, d * d).reshape(d, d, d)
+    x3 = _ints(rng, d, d, d)
     a1, a2, a3 = (_ints(rng, n, d) for _ in range(3))
-    lhs = a1 @ tk.mat3(x3) @ tk.kron(a2, a3).T
-    rhs = tk.third_mode_product(x3, a1, a2, a3).reshape(n, n * n)
+    lhs = a1 @ x3.reshape(d, d * d) @ tk.kron(a2, a3).T
+    rhs = third_mode_loops(x3, a1, a2, a3).reshape(n, n * n)
     assert (lhs == rhs).all()
 
 
 def check_identity_tensor_collapse(rng):
-    # through the identity tensor the triple product is A1 @ col_kron(A2, A3).T
+    # through the identity tensor the triple product is the dense triple
+    # (A1, A2, A3), i.e. A1 @ col_kron(A2, A3).T
     n, d = _dims(rng)
     a1, a2, a3 = (_ints(rng, n, d) for _ in range(3))
-    eye = tk.identity_tensor(d)
-    lhs = tk.third_mode_product(eye, a1, a2, a3).reshape(n, n * n)
-    mid = a1 @ tk.mat3(eye) @ tk.kron(a2, a3).T
-    rhs = a1 @ tk.col_kron(a2, a3).T
+    eye = np.eye(d * d)[::d + 1]
+    lhs = third_mode_loops(eye.reshape(d, d, d), a1, a2, a3).reshape(n, n * n)
+    mid = a1 @ eye @ tk.kron(a2, a3).T
+    rhs = tk.LowRankTriple(U=a1, V=a2, W=a3).materialize()
     assert (lhs == mid).all() and (mid == rhs).all()
 
 
 def check_gram_trick(rng):
-    # real-valued, so up to 1e-12 of the materialized product
+    # col_kron(A1, A2).T @ col_kron(B1, B2) == (A1.T @ B1) * (A2.T @ B2);
+    # real-valued, so up to 1e-12
     d1, d2 = _dims(rng)
     n1, n2 = _dims(rng)
     a1 = rng.uniform(-1, 1, (n1, d1))
@@ -135,7 +140,7 @@ def check_gram_trick(rng):
     b1 = rng.uniform(-1, 1, (n1, d2))
     b2 = rng.uniform(-1, 1, (n2, d2))
     want = tk.col_kron(a1, a2).T @ tk.col_kron(b1, b2)
-    got = tk.gram_col_kron(a1, a2, b1, b2)
+    got = (a1.T @ b1) * (a2.T @ b2)
     assert np.abs(got - want).max() <= 1e-12
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,26 @@ def test_parser_rejects_bad_files(tmp_path):
         fileio.parse_instance("\n".join(good) + "extra\n")
 
 
+def test_parser_allocates_only_the_rows_it_reads(tmp_path):
+    # the header used to size each block before its rows were read:
+    # np.empty raised a bare ValueError here ...
+    huge = "TATINST 1000000000000 1000000000000\nA1\n1.0 2.0\n"
+    with pytest.raises(ValidationError, match="line 3"):
+        fileio.parse_instance(huge)
+    path = tmp_path / "huge.tat"
+    path.write_text(huge)
+    assert cli.main(["grad", "--in", str(path), "--engine", "exact"]) == 1
+    # ... and held 45.8 MiB here before failing at the missing row
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="line 4"):
+            fileio.parse_instance("TATINST 3000000 2\nA1\n1.0 2.0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_grad_exact_and_fast_agree(tmp_path, capsys):
     path = _gen(tmp_path, n=6)
     assert cli.main(["grad", "--in", str(path), "--engine", "exact"]) == 0
@@ -96,6 +117,21 @@ def test_check_pass_and_perturbation_hook(tmp_path, capsys, perturb_grad_fast):
     perturb_grad_fast(1e-3)
     rc = cli.main(["check", "--in", str(path), "--eps", "1e-8", "--tol", "1e-6"])
     assert rc == 2
+
+
+def test_check_rejects_nan_tol(tmp_path, capsys, perturb_grad_fast):
+    # every comparison with a nan tol is false, so an engine off by 1.0 passed
+    path = _gen(tmp_path)
+    perturb_grad_fast(1.0)
+    assert cli.main(["check", "--in", str(path), "--tol", "nan"]) == 1
+    assert "validation error: --tol" in capsys.readouterr().err
+
+
+def test_check_rejects_negative_tol(tmp_path, capsys):
+    # agreeing engines were reported as an engine disagreement (exit 2)
+    path = _gen(tmp_path)
+    assert cli.main(["check", "--in", str(path), "--tol", "-1"]) == 1
+    assert "validation error: --tol" in capsys.readouterr().err
 
 
 def test_check_machine_output_stays_clean(tmp_path, capsys):
@@ -185,6 +221,16 @@ def test_probe_rejects_non_finite_ba(ba, capsys):
     # the uniform draw over [1, ba] raised OverflowError
     assert cli.main(["probe", "--n", "4", "--d", "2", "--ba", ba]) == 1
     assert "validation error: Ba" in capsys.readouterr().err
+
+
+def test_probe_rejects_n_over_exact_cap(capsys, monkeypatch):
+    # H is n x n^2: n=100000 ended in a MemoryError traceback (7.11 PiB)
+    assert cli.main(["probe", "--n", "100000", "--d", "2", "--ba", "3"]) == 1
+    assert "capped at n <= 256" in capsys.readouterr().err
+    monkeypatch.setenv("TAT_EXACT_CAP", "4")
+    with pytest.raises(ValidationError, match="capped"):
+        hardness.make_hard_instance(5, 2, 3.0, 0)
+    assert hardness.make_hard_instance(4, 2, 3.0, 0).n == 4
 
 
 def test_unknown_flag_and_usage(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,16 +122,45 @@ def test_curve_blocks_match_one_batch(monkeypatch):
     assert whole.fp[3] == tk.f_prime(hi, float(lams[3]))
 
 
+def test_avg_estimate_streams_its_grid(monkeypatch):
+    # s_t is the grid-order sum over one batch, bit for bit, at every blocking
+    hi = tk.make_hard_instance(4, 2, 3.0, 5)
+    want = {t: sum(hardness.curve(hi, np.arange(t) / t).fp.tolist()) / t
+            for t in (1, 5, 6, 7, 13)}
+    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 6 * hi.H.size)
+    for t, s_t in want.items():
+        assert tk.avg_estimate(hi, t) == s_t
+
+
+def test_avg_estimate_memory_flat_in_t(monkeypatch):
+    # the t-point grid was evaluated in one curve call: 10.0 MiB traced at
+    # t = 2e4 with these blocks, and growing linearly in t
+    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 1 << 14)
+    hi = tk.make_hard_instance(8, 2, 3.0, 0)
+    tracemalloc.start()
+    try:
+        tk.avg_estimate(hi, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_avg_estimate_validation():
     hi = tk.make_hard_instance(2, 1, 2.0, 0)
     with pytest.raises(ValidationError):
         tk.avg_estimate(hi, 0)
 
 
-def test_overflow_guard():
+def test_overflow_guard(monkeypatch):
     hi = tk.make_hard_instance(2, 1, 2.0, 0)
     with pytest.raises(NumericalError, match="exp limit"):
         tk.f_lambda(hi, 400.0)
+    # a streamed grid is checked whole, before its first block runs
+    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", hi.H.size)
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
+    with pytest.raises(NumericalError, match="exp limit"):
+        tk.avg_estimate(tk.make_hard_instance(2, 1, 800.0, 0), 100)
 
 
 def test_gradient_recovers_curve_increments():

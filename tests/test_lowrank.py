@@ -251,7 +251,7 @@ def _blocks(inst, **over):
 
 
 def test_softmax_arg_bound_is_rigorous():
-    # b_eff^3 >= R >= every realised softmax argument
+    # b^3 >= R >= every realised softmax argument, b the largest projected entry
     cases = []
     for d in (1, 2, 3, 4):
         for seed in range(3):
@@ -275,7 +275,8 @@ def test_softmax_arg_bound_is_rigorous():
     for inst in cases:
         r = _arg_bound(inst)
         top = float(np.abs(exact._scores(inst)).max())
-        assert inst.b_eff() ** 3 >= r >= top, (inst.d, r, top)
+        b = max(float(np.abs(m).max()) for m in inst.projected())
+        assert b ** 3 >= r >= top, (inst.d, r, top)
         if inst.d == 1:  # one column: the bound is attained
             assert r == top
 
@@ -306,7 +307,6 @@ def test_materialize_cap():
     t = tk.LowRankTriple(U=np.ones((40, 2)), V=np.ones((40, 2)), W=np.ones((40, 2)))
     with pytest.raises(ValidationError, match="capped"):
         t.materialize()
-    assert t.materialize(cap=64).shape == (40, 1600)
 
 
 def test_lowrank_triple_validation():

@@ -1,5 +1,8 @@
-"""The declared runtime dependencies import, and the public names resolve."""
+"""The declared runtime dependencies import, the public names resolve, and
+no module keeps an import it never reads."""
 
+import ast
+import glob
 import importlib
 import os
 import re
@@ -7,8 +10,8 @@ import sys
 
 import pytest
 
-PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "pyproject.toml")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
@@ -28,3 +31,26 @@ def test_public_names_resolve():
 
     missing = [name for name in tatkit.__all__ if not hasattr(tatkit, name)]
     assert not missing, f"names in tatkit.__all__ are gone: {missing}"
+
+
+def test_module_imports_are_used():
+    # every module-level import of a tatkit module is read in that module, or
+    # its statement carries "# noqa: F401" with a reason naming it
+    unused = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        tree = ast.parse(source)
+        lines = source.split("\n")
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            _, _, reason = lines[stmt.lineno - 1].partition("# noqa: F401")
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in reason:
+                    unused.append(f"{os.path.basename(path)}:{stmt.lineno} {name}")
+    assert not unused, f"module-level imports never read: {unused}"

@@ -7,7 +7,7 @@ import tatkit as tk
 from tatkit.errors import ValidationError
 
 from identities import ALL_CHECKS
-from oracles import col_kron_loops, kron_loops, odot3_tensor_loops, row_kron_loops, third_mode_loops
+from oracles import col_kron_loops, kron_loops, row_kron_loops
 
 
 def test_kron_examples():
@@ -36,90 +36,6 @@ def test_shape_validation():
         tk.col_kron(np.ones((2, 2)), np.ones((2, 3)))
     with pytest.raises(ValidationError):
         tk.row_kron(np.ones((2, 2)), np.ones((3, 2)))
-    with pytest.raises(ValidationError):
-        tk.odot3_matricized(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)))
-    with pytest.raises(ValidationError):
-        tk.gram_col_kron(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 1)))
-
-
-def test_gram_col_kron_examples():
-    # frozen from materializing col_kron and multiplying: C1=[3], C2=[7]
-    got = tk.gram_col_kron([[1], [2]], [[3], [4]], [[1], [1]], [[1], [1]])
-    assert got.shape == (1, 1) and got[0, 0] == 21.0
-
-    rng = np.random.default_rng(0)
-    a = rng.uniform(-1, 1, (3, 2))
-    b = rng.uniform(-1, 1, (4, 2))
-    zero = np.zeros((3, 2))
-    assert (tk.gram_col_kron(a, b, zero, rng.uniform(-1, 1, (4, 2))) == 0).all()
-
-    a1, a2 = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
-    want = col_kron_loops(a1, a2).T @ col_kron_loops(a1, a2)
-    assert np.abs(tk.gram_col_kron(a1, a2, a1, a2) - want).max() <= 1e-12
-
-
-def test_odot3_examples():
-    assert (tk.odot3_matricized(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
-            == np.ones((2, 4))).all()
-    got = tk.odot3_matricized([[1], [2]], [[3], [4]], [[5], [6]])
-    assert (got == [[15, 18, 20, 24], [30, 36, 40, 48]]).all()
-    rng = np.random.default_rng(1)
-    u, v, w = (rng.integers(-3, 4, (3, 2)).astype(float) for _ in range(3))
-    want = odot3_tensor_loops(u, v, w).reshape(3, 9)
-    assert (tk.odot3_matricized(u, v, w) == want).all()
-
-
-def test_third_mode_product_examples():
-    eye2 = tk.identity_tensor(2)
-    got = tk.third_mode_product(eye2, np.eye(2), np.eye(2), np.eye(2))
-    assert (got == eye2).all()
-
-    rng = np.random.default_rng(2)
-    a1, a2, a3 = (rng.integers(-3, 4, (3, 2)).astype(float) for _ in range(3))
-    got = tk.third_mode_product(eye2, a1, a2, a3).reshape(3, 9)
-    assert (got == a1 @ tk.col_kron(a2, a3).T).all()
-
-    zero = np.zeros((2, 2, 2))
-    assert (tk.third_mode_product(zero, a1, a2, a3) == 0).all()
-
-
-def test_third_mode_cap():
-    big = np.ones((40, 2))
-    with pytest.raises(ValidationError, match="capped"):
-        tk.third_mode_product(tk.identity_tensor(2), big, big, big)
-
-
-def test_third_mode_vs_loops():
-    rng = np.random.default_rng(3)
-    x3 = rng.uniform(-1, 1, (2, 3, 2))
-    a1 = rng.uniform(-1, 1, (4, 2))
-    a2 = rng.uniform(-1, 1, (4, 3))
-    a3 = rng.uniform(-1, 1, (4, 2))
-    want = third_mode_loops(x3, a1, a2, a3)
-    assert np.abs(tk.third_mode_product(x3, a1, a2, a3) - want).max() <= 1e-12
-
-
-def test_vec_examples():
-    assert (tk.vec([[1, 2], [3, 4]]) == [1, 2, 3, 4]).all()
-    row = np.array([[5.0, 6.0, 7.0]])
-    assert (tk.vec(row) == row.ravel()).all()
-    rng = np.random.default_rng(4)
-    a1 = rng.integers(-3, 4, (2, 2)).astype(float)
-    a2 = rng.integers(-3, 4, (2, 2)).astype(float)
-    x = rng.integers(-3, 4, (2, 2)).astype(float)
-    assert (tk.vec(a1 @ x @ a2.T) == tk.kron(a1, a2) @ tk.vec(x)).all()
-
-
-def test_tensorize_roundtrip_bit_exact():
-    rng = np.random.default_rng(5)
-    for d in (1, 2, 3):
-        m = rng.uniform(-1, 1, (d, d * d))
-        t = tk.tensorize3(m, d, d)
-        back = tk.mat3(t)
-        assert (back == m).all()
-        assert back.tobytes() == m.tobytes()
-    with pytest.raises(ValidationError):
-        tk.tensorize3(np.ones((2, 5)), 2, 2)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
@@ -153,6 +69,5 @@ def test_outputs_stay_finite():
     rng = np.random.default_rng(6)
     a = rng.uniform(-10, 10, (3, 2))
     b = rng.uniform(-10, 10, (4, 2))
-    for out in (tk.kron(a, b), tk.col_kron(a, b), tk.row_kron(a, a),
-                tk.gram_col_kron(a, b, a, b), tk.odot3_matricized(a, a, a)):
+    for out in (tk.kron(a, b), tk.col_kron(a, b), tk.row_kron(a, a)):
         assert np.isfinite(out).all()
