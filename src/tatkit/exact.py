@@ -1,11 +1,14 @@
 """Exact dense engine: forward pass, loss, intermediates, closed-form gradient.
 
-Everything here materializes the full n x n^2 attention matrix, so it is
-cubic in n and guarded by a sequence cap.  It serves as the ground-truth
-oracle for the low-rank engine.  Every path builds its softmax arguments
-through ``_scores``, which holds the cap and exp-limit checks, and
-normalizes them in place.  The gradient holds three n x n^2 buffers at its
-peak: F, W and P = (W - r) * F, contracted by two GEMMs.
+Every softmax argument is computed, so the engine is cubic in n and guarded
+by a sequence cap.  It serves as the ground-truth oracle for the low-rank
+engine.  ``forward``, ``loss`` and ``grad_exact`` stream the n x n^2
+attention matrix F through ``_row_blocks``, which runs the cap and
+exp-limit checks once per call and then yields b rows of F at a time, with
+b * n^2 at most ``_BLOCK_ENTRIES``: the gradient holds one row block of F
+and one of P = (W - r) * F, never a whole n x n^2 buffer.
+``attention_weights`` and ``compute_intermediates`` materialize the dense
+matrices through ``_scores`` as the specification the tests read.
 """
 
 import os
@@ -21,6 +24,8 @@ DEFAULT_EXACT_CAP = 256
 EXP_ARG_LIMIT = 700.0
 FD_N_CAP = 8
 FD_D_CAP = 4
+# entries of one row block of F (1 MiB); of 2^15..2^18, the fastest at n=128
+_BLOCK_ENTRIES = 1 << 17
 
 
 def exact_cap():
@@ -88,10 +93,10 @@ def _scores(inst, x=None, a23=None):
 
 
 def _softmax_rows(scores):
-    """Row softmax of a fresh ``_scores`` buffer, normalized in place: F."""
+    """Row softmax of a score buffer (``_scores`` or one row block), in place: F."""
     scores -= scores.max(axis=1)[:, None]
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1)[:, None]
+    scores *= 1.0 / scores.sum(axis=1)[:, None]
     return scores
 
 
@@ -105,9 +110,47 @@ def _value_matrix(inst):
     return col_kron(v1, v2)
 
 
+def _block_rows(n):
+    """Rows b per block: b * n^2 <= ``_BLOCK_ENTRIES``, at least one, at most n."""
+    return min(n, max(1, _BLOCK_ENTRIES // (n * n)))
+
+
+def _row_blocks(inst):
+    """H (n^2 x d) and an iterator over row blocks ``(rows, F_J, Y_J)`` of F.
+
+    The cap and exp-limit checks run once, here, before anything n^2-sized
+    is built.  Each block holds b = ``_block_rows(n)`` rows of the normalized
+    F and their forward rows Y_J = F_J @ H.  F_J is a view of one buffer
+    that the next block overwrites.
+    """
+    n = inst.n
+    _check_cap(n)
+    q, k1, k2, v1, v2 = inst.projected()
+    _check_exp_bound(q, k1, k2)
+    h = col_kron(v1, v2)
+    keys_t = np.ascontiguousarray(col_kron(k1, k2).T)
+    q = q / inst.d
+    b = _block_rows(n)
+
+    def blocks():
+        buf = np.empty((b, n * n))
+        for lo in range(0, n, b):
+            rows = slice(lo, min(lo + b, n))
+            f = buf[:rows.stop - lo]
+            np.matmul(q[rows], keys_t, out=f)
+            _softmax_rows(f)
+            yield rows, f, f @ h
+
+    return h, blocks()
+
+
 def forward(inst):
     """Attention output F @ H, shape n x d."""
-    return attention_weights(inst) @ _value_matrix(inst)
+    _, blocks = _row_blocks(inst)
+    out = np.empty((inst.n, inst.d))
+    for rows, _, y in blocks:
+        out[rows] = y
+    return out
 
 
 def loss(inst):
@@ -129,8 +172,9 @@ class ExactIntermediates:
     F is the n x n^2 row-stochastic attention matrix, H the n^2 x d value
     matrix, Vres the n x d residual and W = Vres @ H.T.  P applies each
     row's softmax Jacobian to the matching row of W: P = (W - r) * F with
-    r the row-wise dot product of F and W.  F, W and P are the only
-    n x n^2 buffers.
+    r the row-wise dot product of F and W.  This is the dense
+    specification: F, W and P are each a whole n x n^2 buffer here, while
+    ``grad_exact`` forms them one row block at a time.
     """
 
     F: np.ndarray
@@ -153,11 +197,27 @@ def compute_intermediates(inst):
 def grad_exact(inst):
     """Closed-form loss gradient w.r.t. the composite X, shape d x d^2.
 
-    Computed as ``(A1.T @ P) @ kron(A2, A3) / d``: two GEMMs, with the
-    n^2 x d^2 Kronecker factor materialized (512 KiB at n=128, d=2).
+    Computed as ``(A1.T @ P) @ kron(A2, A3) / d`` over the row blocks of
+    ``_row_blocks``: each block's W_J = (Y_J - E_J) @ H.T is formed in a
+    second block buffer and turned in place into P_J = (W_J - r_J) * F_J,
+    and A1_J.T @ P_J is summed into a d x n^2 accumulator.  One GEMM with
+    the n^2 x d^2 Kronecker factor (512 KiB at n=128, d=2) finishes it.
     """
-    p = compute_intermediates(inst).P
-    return (inst.A1.T @ p) @ kron(inst.A2, inst.A3) / inst.d
+    n = inst.n
+    h, blocks = _row_blocks(inst)
+    h_t = np.ascontiguousarray(h.T)
+    acc = np.zeros((inst.d, n * n))
+    part = np.empty_like(acc)
+    wbuf = np.empty((_block_rows(n), n * n))
+    for rows, f, y in blocks:
+        w = wbuf[:f.shape[0]]
+        y -= inst.E[rows]
+        np.matmul(y, h_t, out=w)
+        w -= np.einsum("ij,ij->i", f, w)[:, None]
+        w *= f
+        np.matmul(inst.A1[rows].T, w, out=part)
+        acc += part
+    return acc @ kron(inst.A2, inst.A3) / inst.d
 
 
 def grad_fd(inst, step):

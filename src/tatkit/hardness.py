@@ -98,15 +98,22 @@ def _probe_block(hi, lam_max):
 def curve(hi, lams):
     """f, f' (length L) and the row normalizers h (L x n) at each of L ``lams``.
 
-    f' comes from the per-row quotient rule.  The exp limit is checked once,
-    on the largest lambda; the kernel gets blocks of _PROBE_ENTRIES // n^3.
+    f' comes from the per-row quotient rule, g'/h - (g/h)(h'/h), which forms
+    no product of two row sums.  The exp limit is checked once, on the
+    largest lambda; the kernel gets blocks of _PROBE_ENTRIES // n^3.  A row
+    sum that overflows (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8)
+    raises ``NumericalError`` instead of returning a nan.
     """
     lams = np.asarray(lams, dtype=np.float64)
     block = _probe_block(hi, lams.max())
-    rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
-                           for i in range(0, lams.size, block)])
-    g, gp, h, hp = np.moveaxis(rows, -1, 0)
-    return Curve(f=(g / h).sum(axis=1), fp=((gp * h - g * hp) / (h * h)).sum(axis=1), h=h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
+                               for i in range(0, lams.size, block)])
+        g, gp, h, hp = np.moveaxis(rows, -1, 0)
+        out = Curve(f=(g / h).sum(axis=1), fp=(gp / h - (g / h) * (hp / h)).sum(axis=1), h=h)
+    if not all(np.isfinite(v).all() for v in out):
+        raise NumericalError("non-finite hard-curve value: a row sum overflowed")
+    return out
 
 
 def f_lambda(hi, lam):

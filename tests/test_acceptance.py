@@ -127,7 +127,7 @@ def _bench_rows(tmp_path, engine, ns, repeats):
 def test_criterion_5_scaling_separation(tmp_path):
     t0 = time.perf_counter()
     fast_rows = _bench_rows(tmp_path, "fast", (256, 512, 1024, 2048), repeats=5)
-    slow_rows = _bench_rows(tmp_path, "exact", (32, 64, 128), repeats=5)
+    slow_rows = _bench_rows(tmp_path, "exact", (64, 128, 256), repeats=5)
     fast = {n: float(r["wall_seconds"]) for n, r in fast_rows.items()}
     slow = {n: float(r["wall_seconds"]) for n, r in slow_rows.items()}
     fast_slope = _slope(sorted(fast), [fast[n] for n in sorted(fast)])

@@ -206,10 +206,24 @@ def test_probe_evaluates_each_lambda_grid_once(capsys, monkeypatch):
                      "--seed", "5", "--t", "100"]) == 0
     assert len(calls) == 3
     assert capsys.readouterr().out == (
-        "f0=4.384765625\nf1=4.333171253057967\ns_t=-0.051876222875379394\n"
-        "b_emp=0.06734502464786352\nmax_abs_fprime=0.0824455231065433\n"
+        "f0=4.384765625\nf1=4.333171253057967\ns_t=-0.05187622287537929\n"
+        "b_emp=0.06734502469019077\nmax_abs_fprime=0.0824455231065433\n"
         "fprime_bound=384.0\n"
     )
+
+
+def test_probe_large_ba_finite_or_rejected(capsys):
+    # f' was (g' h - g h') / h^2, and g' h overflowed past lambda * Ba ~ 177:
+    # Ba = 180 printed s_t, b_emp and max_abs_fprime as nan, then "probe: OK"
+    assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "180", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    values = [float(line.split("=")[1]) for line in out.strip().split("\n")]
+    assert len(values) == 6 and np.isfinite(values).all()
+    # past lambda * Ba ~ 350 the row sum h itself overflows: exit 2, no OK
+    assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "400", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "probe: OK" not in captured.err
+    assert "non-finite hard-curve value" in captured.err
 
 
 def test_probe_validation():

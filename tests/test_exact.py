@@ -136,17 +136,62 @@ def test_grad_finite_without_warning_at_exp_limit():
     assert np.isfinite(g).all()
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_grad_exact_holds_three_cubic_buffers(n):
-    # F, W and P are the only n x n^2 arrays; 3.5 leaves room for O(n^2) operands
-    inst = _instance(n, 2, 1, bound=0.8)
+@pytest.mark.parametrize("n", [64, 128, 192])
+def test_grad_exact_peak_is_two_row_blocks(n):
+    # one block of F and one of P, each at most _BLOCK_ENTRIES doubles, plus
+    # O(n^2 d^2) operands (H, the keys, the accumulator, kron(A2, A3)); the
+    # three whole n x n^2 buffers held before took 6.4 MB at n=64
+    d = 2
+    inst = _instance(n, d, 1, bound=0.8)
     tracemalloc.start()
     try:
         tk.grad_exact(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * n ** 3, peak / (8 * n ** 3)
+    blocks = 2 * 8 * exact._BLOCK_ENTRIES
+    assert peak < blocks + 5 * 8 * n * n * d * d, (peak - blocks) / (8 * n * n * d * d)
+
+
+def _dense_grad(inst):
+    # the dense specification of the gradient, from the whole P
+    p = tk.compute_intermediates(inst).P
+    return (inst.A1.T @ p) @ tk.kron(inst.A2, inst.A3) / inst.d
+
+
+# (n, entries per block): one block holding every row; a prime n whose
+# last block is short, at the module's own budget (b = 7, last block 5
+# rows) and at a small one (b = 3, last block 1 row); blocks of one row,
+# and a budget below one row, which still takes one row per block
+BLOCKINGS = [(1, None), (2, None), (131, None), (13, 3 * 169), (6, 36), (5, 7)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n, entries", BLOCKINGS)
+def test_row_blocks_match_dense_spec(n, entries, d, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(exact, "_BLOCK_ENTRIES", entries)
+    inst = _instance(n, d, 30 + n)
+    want = _dense_grad(inst)
+    got = tk.grad_exact(inst)
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+    h = tk.col_kron(inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
+    y = exact.attention_weights(inst) @ h
+    assert np.abs(tk.forward(inst) - y).max() <= 1e-14
+    assert tk.loss(inst) == pytest.approx(0.5 * float(((y - inst.E) ** 2).sum()), rel=1e-12)
+
+
+def test_row_blocks_check_bound_once(monkeypatch):
+    # 13 rows in blocks of 3: five blocks, one row-bound evaluation
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
+    calls = []
+    bound = exact.softmax_arg_bound
+    monkeypatch.setattr(exact, "softmax_arg_bound", lambda *a: calls.append(1) or bound(*a))
+    inst = _instance(13, 2, 5)
+    tk.grad_exact(inst)
+    assert len(calls) == 1
+    tk.forward(inst)
+    assert len(calls) == 2
 
 
 def test_grad_zero_at_optimum():

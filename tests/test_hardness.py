@@ -163,6 +163,22 @@ def test_overflow_guard(monkeypatch):
         tk.avg_estimate(tk.make_hard_instance(2, 1, 800.0, 0), 100)
 
 
+def test_curve_finite_past_quotient_overflow():
+    # lambda * Ba = 180: g' and h each fit a double, their product did not,
+    # so f' was nan; as normalized row sums it matches a central difference
+    hi = tk.make_hard_instance(8, 2, 180.0, 0)
+    c = hardness.curve(hi, [0.5, 1.0])
+    assert all(np.isfinite(v).all() for v in c)
+    step = 1e-6
+    f_plus, f_minus = hardness.curve(hi, [1.0 + step, 1.0 - step]).f
+    fd = (f_plus - f_minus) / (2.0 * step)
+    assert abs(c.fp[1] - fd) <= 1e-6 * max(1.0, abs(fd))
+    # lambda * Ba = 400 is inside the exp limit, but h = (sum M_i)^2 is not
+    # a double: a nan would pass every tolerance comparison unseen
+    with pytest.raises(NumericalError, match="non-finite"):
+        hardness.curve(tk.make_hard_instance(8, 2, 400.0, 0), [1.0])
+
+
 def test_gradient_recovers_curve_increments():
     # Interpolation smoke test: with a zero target, identity value
     # projections, and the query projection X1 = lam*d*I, the loss is half
