@@ -28,7 +28,6 @@ from .fastgrad import (
 from .hardness import (
     HardInstance,
     avg_estimate,
-    f_lambda,
     f_prime,
     make_hard_instance,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "choose_degree",
     "col_kron",
     "compute_intermediates",
-    "f_lambda",
     "f_prime",
     "feature_map",
     "forward",

@@ -11,6 +11,7 @@ and one of P = (W - r) * F, never a whole n x n^2 buffer.
 matrices through ``_scores`` as the specification the tests read.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -226,8 +227,8 @@ def grad_fd(inst, step):
     Requires d*d^2 paired loss evaluations, so the instance must be tiny:
     n <= 8 and d <= 4.
     """
-    if step <= 0:
-        raise ValidationError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:  # a nan fails too
+        raise ValidationError(f"step must be positive and finite, got {step}")
     if inst.n > FD_N_CAP or inst.d > FD_D_CAP:
         raise ValidationError(
             f"finite differences capped at n <= {FD_N_CAP}, d <= {FD_D_CAP} "

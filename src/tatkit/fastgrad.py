@@ -26,19 +26,19 @@ factor triple; it computes the same contractions in five stages:
 - ``assemble``: the d x d^2 gradient from the three d x k5 contractions.
 
 No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
-the feature buffer, 3 n k1 entries; every other one is O(n d^2).
+the feature buffer, 3 n k1 entries; every other one is O(n d^2).  Nothing
+here traces allocations: the tests check that bound by tracing whole calls.
 ``eps_target`` reads the W factors U2, A4 Y1 and A5 Y2 from arrays it holds.
 """
 
 import time
-import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, lowrank
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
     RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max, f_degree,
     softmax_arg_bound,
@@ -63,7 +63,6 @@ class FastGradientReport:
     on ``random_instance(64, 2, 0.8, 1)``.  ``stage_timings`` holds the
     seconds spent in each stage of the module docstring: ``feature_map``,
     ``key_contract``, ``residual_u2``, ``query_contract`` and ``assemble``.
-    ``peak_bytes`` is filled only on audited runs.
     """
 
     g_tilde: np.ndarray
@@ -78,7 +77,6 @@ class FastGradientReport:
     eps_internal: float
     eps_target: float
     stage_timings: dict
-    peak_bytes: int = 0
 
 
 def build_residual_U2(inst, f_factors):
@@ -162,7 +160,7 @@ def _error_budget(inst, eps_internal, u2, v2, w2):
     return (n ** 3 / d) * amp * delta_p
 
 
-def grad_fast(inst, eps, audit=False):
+def grad_fast(inst, eps):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
     The projections are computed once and shared by every stage.  The
@@ -172,13 +170,6 @@ def grad_fast(inst, eps, audit=False):
     allocated.  The stages are those of the module docstring; the result
     matches the explicit factor builders within rounding.  A nonpositive or
     non-finite row normalizer raises ``NumericalError``.
-
-    ``audit=True`` additionally traces allocations: the traced peak must
-    stay below one n^2-entry float64 buffer, so no buffer of n^2 entries
-    (let alone n x n^2) can have existed.  Tracing starts and stops here
-    only if it was off; a caller's session keeps running, with its peak
-    reset.  The audit is meaningful in the target regime n*k1 << n^2 and
-    slows the run; leave it off when timing.
     """
     if eps >= 1:
         raise ValidationError(f"eps must be below 1, got {eps}")
@@ -207,94 +198,74 @@ def grad_fast(inst, eps, audit=False):
     basis = lowrank.build_basis(d, degree)
     c = basis.series_weights
 
-    peak_bytes = 0
-    own_trace = audit and not tracemalloc.is_tracing()
-    if own_trace:
-        tracemalloc.start()
-    try:
-        if audit:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-        timings = {}
-        t = time.perf_counter()
-        rows = np.empty((3 * n, d))
-        rows[:n] = kq1
-        rows[n:2 * n] = kq2
-        np.divide(q, d, out=rows[2 * n:])
-        # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q/d) side by side
-        phi_t = lowrank.feature_map(rows, basis).T
-        del rows
-        timings["feature_map"] = time.perf_counter() - t
+    timings = {}
+    t = time.perf_counter()
+    rows = np.empty((3 * n, d))
+    rows[:n] = kq1
+    rows[n:2 * n] = kq2
+    np.divide(q, d, out=rows[2 * n:])
+    # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q/d) side by side
+    phi_t = lowrank.feature_map(rows, basis).T
+    del rows
+    timings["feature_map"] = time.perf_counter() - t
 
-        # each key side: Phi^T @ row_kron([A | 1], [V | 1]) read as [a, b, :]
-        # over a, b <= d.  a, b < d is the Pa contraction, b = d the Pb
-        # column A^T Phi, a = d the Gram V^T Phi and a = b = d the column sums
-        # of Phi.  Operands are built transposed, as rows of length n, so
-        # every write is contiguous.
-        t = time.perf_counter()
-        key = []
-        for a, v, phi_side in ((inst.A2, v2, phi_t[:, :n]),
-                               (inst.A3, w2, phi_t[:, n:2 * n])):
-            key_op = np.empty((d + 1, d + 1, n))
-            np.multiply(a.T[:, None, :], v.T[None, :, :], out=key_op[:d, :d])
-            key_op[:d, d] = a.T
-            key_op[d, :d] = v.T
-            key_op[d, d] = 1.0
-            contracted = phi_side @ key_op.reshape(-1, n).T
-            key.append(contracted.T.reshape(d + 1, d + 1, k1))
-        g2 = key[0][:d].reshape(d, -1)
-        g3 = key[1][:d].reshape(d, -1)
-        # c * [mid^T ; s]: mid = (V1^T V2) * (W1^T W2) is the residual's
-        # middle factor and Pb's Gram alike, s the column sums behind the row
-        # normalizer
-        weighted = key[0][d] * key[1][d]
-        weighted *= c
-        timings["key_contract"] = time.perf_counter() - t
+    # each key side: Phi^T @ row_kron([A | 1], [V | 1]) read as [a, b, :]
+    # over a, b <= d.  a, b < d is the Pa contraction, b = d the Pb
+    # column A^T Phi, a = d the Gram V^T Phi and a = b = d the column sums
+    # of Phi.  Operands are built transposed, as rows of length n, so
+    # every write is contiguous.
+    t = time.perf_counter()
+    key = []
+    for a, v, phi_side in ((inst.A2, v2, phi_t[:, :n]),
+                           (inst.A3, w2, phi_t[:, n:2 * n])):
+        key_op = np.empty((d + 1, d + 1, n))
+        np.multiply(a.T[:, None, :], v.T[None, :, :], out=key_op[:d, :d])
+        key_op[:d, d] = a.T
+        key_op[d, :d] = v.T
+        key_op[d, d] = 1.0
+        contracted = phi_side @ key_op.reshape(-1, n).T
+        key.append(contracted.T.reshape(d + 1, d + 1, k1))
+    g2 = key[0][:d].reshape(d, -1)
+    g3 = key[1][:d].reshape(d, -1)
+    # c * [mid^T ; s]: mid = (V1^T V2) * (W1^T W2) is the residual's
+    # middle factor and Pb's Gram alike, s the column sums behind the row
+    # normalizer
+    weighted = key[0][d] * key[1][d]
+    weighted *= c
+    timings["key_contract"] = time.perf_counter() - t
 
-        # [Y^T ; 1] * d_tilde in one GEMM, Y = U1 @ mid the attention output
-        t = time.perf_counter()
-        phi_q_t = phi_t[:, 2 * n:]
-        yd = weighted @ phi_q_t
-        d_tilde = yd[d]
-        check_row_normalizer(d_tilde)
-        y_t = yd[:d] / d_tilde
-        u2_t = y_t - inst.E.T
-        r_tilde = (y_t * u2_t).sum(axis=0)
-        timings["residual_u2"] = time.perf_counter() - t
+    # [Y^T ; 1] * d_tilde in one GEMM, Y = U1 @ mid the attention output
+    t = time.perf_counter()
+    phi_q_t = phi_t[:, 2 * n:]
+    yd = weighted @ phi_q_t
+    d_tilde = yd[d]
+    check_row_normalizer(d_tilde)
+    y_t = yd[:d] / d_tilde
+    u2_t = y_t - inst.E.T
+    r_tilde = (y_t * u2_t).sum(axis=0)
+    timings["residual_u2"] = time.perf_counter() - t
 
-        # query side: Phi(Q/d)^T @ row_kron(A1, [U2 | -R] / d_tilde), times
-        # c, is [Pa | -Pb] contracted against A1, with
-        # U1 = Phi(Q/d) diag(c) / d_tilde
-        t = time.perf_counter()
-        z = np.empty((d + 1, n))
-        np.divide(u2_t, d_tilde, out=z[:d])
-        np.divide(r_tilde, d_tilde, out=z[d])
-        np.negative(z[d], out=z[d])
-        query_op = np.empty((d, d + 1, n))
-        np.multiply(inst.A1.T[:, None, :], z[None, :, :], out=query_op)
-        g1 = (phi_q_t @ query_op.reshape(-1, n).T).T * c
-        g1 = g1.reshape(d, -1)
-        timings["query_contract"] = time.perf_counter() - t
+    # query side: Phi(Q/d)^T @ row_kron(A1, [U2 | -R] / d_tilde), times
+    # c, is [Pa | -Pb] contracted against A1, with
+    # U1 = Phi(Q/d) diag(c) / d_tilde
+    t = time.perf_counter()
+    z = np.empty((d + 1, n))
+    np.divide(u2_t, d_tilde, out=z[:d])
+    np.divide(r_tilde, d_tilde, out=z[d])
+    np.negative(z[d], out=z[d])
+    query_op = np.empty((d, d + 1, n))
+    np.multiply(inst.A1.T[:, None, :], z[None, :, :], out=query_op)
+    g1 = (phi_q_t @ query_op.reshape(-1, n).T).T * c
+    g1 = g1.reshape(d, -1)
+    timings["query_contract"] = time.perf_counter() - t
 
-        t = time.perf_counter()
-        # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.
-        # The Pa columns k run over (W column, F column) pairs, the reverse
-        # of build_Pa_factors' order; the sum does not see the order.
-        g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
-        g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
-        timings["assemble"] = time.perf_counter() - t
-
-        if audit:
-            peak_bytes = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if own_trace:
-            tracemalloc.stop()
-    limit = n * n * 8
-    if audit and peak_bytes >= limit:
-        raise NumericalError(
-            f"allocation audit: traced peak {peak_bytes} bytes is over "
-            f"the limit {limit} (one n^2-entry float64 buffer)"
-        )
+    t = time.perf_counter()
+    # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.
+    # The Pa columns k run over (W column, F column) pairs, the reverse
+    # of build_Pa_factors' order; the sum does not see the order.
+    g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
+    g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
+    timings["assemble"] = time.perf_counter() - t
 
     eps_target = _error_budget(inst, eps_internal, u2_t.T, v2, w2)
     return FastGradientReport(
@@ -306,5 +277,4 @@ def grad_fast(inst, eps, audit=False):
         eps_internal=eps_internal,
         eps_target=eps_target,
         stage_timings=timings,
-        peak_bytes=peak_bytes,
     )

@@ -12,8 +12,8 @@ Layout::
 The eleven blocks appear in the fixed order A1 A2 A3 A4 A5 E X1 X2 X3 Y1 Y2.
 Values are serialized with the shortest representation that round-trips a
 double, so write(parse(text)) reproduces files this module wrote byte for
-byte.  The parser is strict: wrong order, wrong counts, or non-finite values
-fail with a line-numbered message.
+byte.  The parser is strict: wrong order, wrong counts, non-finite values
+or a non-ASCII byte fail with a line-numbered message.
 """
 
 import math
@@ -90,5 +90,11 @@ def parse_instance(text):
 
 
 def read_instance(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_instance(fh.read())
+    with open(path, "rb") as fh:
+        # newlines as text mode reads them, so a decode error's line is the parser's
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        _fail(data.count(b"\n", 0, e.start) + 1, f"non-ASCII byte {data[e.start]:#04x}")
+    return parse_instance(text)

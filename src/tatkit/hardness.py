@@ -12,9 +12,11 @@ f, its analytic derivative, the row normalizers and the averaging
 estimator, all via per-row sums (g, g', h, h') so no quotient is formed
 before the row-level division.  ``curve`` is the one evaluator: it takes a
 vector of lambdas and batches them through ``kernels.hard_probe_rows``, so
-each caller evaluates a lambda grid in one call.  ``f_lambda`` and ``f_prime``
-read it at one lambda, ``empirical_second_derivative_bound`` on its fixed grid,
+each caller evaluates a lambda grid in one call: ``f_prime`` reads it at one
+lambda, ``empirical_second_derivative_bound`` on its fixed grid,
 ``avg_estimate`` one kernel block at a time and ``tat probe`` for f, f' and h.
+f at one lambda is ``curve(hi, [lam]).f[0]``.  ``make_hard_instance`` draws
+from the same seeded Philox generator as ``random_instance``.
 """
 
 import math
@@ -26,6 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import NumericalError, ValidationError
 from .exact import EXP_ARG_LIMIT, _check_cap
+from .instance import philox
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ def make_hard_instance(n, d, ba, seed):
     _check_cap(n)  # H is dense, n x n^2
     if not 1 <= ba < math.inf:  # a nan fails too
         raise ValidationError(f"Ba must be finite and at least 1, got {ba}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = philox(seed)
     m = n * n
     need = -(-m // 2)
     h = np.empty((n, m))
@@ -114,11 +117,6 @@ def curve(hi, lams):
     if not all(np.isfinite(v).all() for v in out):
         raise NumericalError("non-finite hard-curve value: a row sum overflowed")
     return out
-
-
-def f_lambda(hi, lam):
-    """f(lam) = squared Frobenius norm of the row-normalized curve times V."""
-    return float(curve(hi, [lam]).f[0])
 
 
 def f_prime(hi, lam):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .tensorops import col_kron, row_kron
+from .tensorops import col_kron, row_kron  # noqa: F401  (col_kron: perfbench/spans.py WRAPS looks it up here)
 
 MATRIX_FIELDS = ("A1", "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")
 
@@ -56,10 +56,6 @@ class AttnInstance:
         """X = X1 @ (X2.T rowkron X3.T), shape d x d^2."""
         return self.X1 @ row_kron(self.X2.T, self.X3.T)
 
-    def composite_y(self):
-        """Y = col_kron(Y1, Y2), shape d^2 x d."""
-        return col_kron(self.Y1, self.Y2)
-
     def projected(self):
         """The five projected inputs (Q, K1, K2, V1, V2), each n x d."""
         return (
@@ -71,10 +67,18 @@ class AttnInstance:
         )
 
 
+def philox(seed):
+    """The counter-based Philox generator keyed by ``seed``, an integer in [0, 2^128)."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 128:  # numpy's key range; it raises a bare ValueError outside it
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def random_instance(n, d, bound, seed):
     """Draw an instance with i.i.d. uniform entries in [-bound, bound].
 
-    Uses the counter-based Philox generator keyed by ``seed``, drawing the
+    Uses the Philox generator of :func:`philox` keyed by ``seed``, drawing the
     blocks in the fixed order A1 A2 A3 A4 A5 E X1 X2 X3 Y1 Y2 (row-major
     within each block), so the same seed yields the same bytes on every
     platform.
@@ -83,7 +87,7 @@ def random_instance(n, d, bound, seed):
         raise ValidationError(f"n and d must be positive, got n={n} d={d}")
     if not 0 <= 2.0 * bound < math.inf:  # the draws span 2 * bound; a nan fails too
         raise ValidationError(f"bound must be nonnegative with 2 * bound finite, got {bound}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = philox(seed)
     blocks = {}
     for name in MATRIX_FIELDS:
         shape = (n, d) if name in ("A1", "A2", "A3", "A4", "A5", "E") else (d, d)

@@ -12,12 +12,12 @@ its run table: each run of degree-m entries is one variable times a run of
 degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
 array (exponents, parents, the exact integers alpha!) is filled run by run
 from it.  The series weights 1/alpha! (``MonomialBasis.series_weights``)
-follow from those integers by one rule, and are the only copy of the series'
-coefficients.  :func:`feature_map` returns raw monomials.  The weights have
-two readers, both on the query side: :func:`build_F_factors` multiplies its
-U by them and ``fastgrad.grad_fast`` its k1-sized contractions.  The raw
-key-side V, W make ``col_kron(V, W)`` rows equal raw monomials of
-k1_j * k2_l.
+follow from those integers by one rule, and are the basis's only weights and
+the only copy of the series' coefficients.  :func:`feature_map` returns raw
+monomials.  The weights have two readers, both on the query side:
+:func:`build_F_factors` multiplies its U by them and ``fastgrad.grad_fast``
+its k1-sized contractions.  The raw key-side V, W make ``col_kron(V, W)``
+rows equal raw monomials of k1_j * k2_l.
 
 The argument range [-R, R] comes from the row bound of
 :func:`softmax_arg_bound`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
@@ -117,16 +117,16 @@ class MonomialBasis:
     entries ``degree_bounds[m]:degree_bounds[m + 1]``.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
-    from its parents.  ``weights`` holds the multinomial coefficient
-    |alpha|! / alpha! of each entry, and ``series_weights`` the one series
-    weight 1 / alpha!: 1/float(alpha!) while that float is finite,
-    exp(-sum_t lgamma(alpha_t + 1)) past it.  All arrays are read-only.
+    from its parents.  ``series_weights`` holds the one series weight
+    1 / alpha! of each entry: 1/float(alpha!) while that float is finite,
+    exp(-sum_t lgamma(alpha_t + 1)) past it.  They are the basis's only
+    weights; |alpha|! times them gives the multinomial coefficients.  All
+    arrays are read-only.
     """
 
     d: int
     g: int
     exponents: np.ndarray = field(default=None)
-    weights: np.ndarray = field(default=None)
     degrees: np.ndarray = field(default=None)
     series_weights: np.ndarray = field(default=None)
     parents: np.ndarray = field(default=None)
@@ -147,7 +147,6 @@ class MonomialBasis:
             )
         exps = np.zeros((size, d), dtype=np.int64)
         denoms = np.ones(size, dtype=object)  # exact integers alpha!
-        w = np.ones(size)
         parents = np.full(size, -1, dtype=np.intp)
         variables = np.full(size, -1, dtype=np.intp)
         # degree 0 is entry 0 alone; bounds[2:] are overwritten below
@@ -167,11 +166,9 @@ class MonomialBasis:
                 runs.append((i, src, length, v))
                 i += length
             bounds[m + 1] = i
-            # multinomials are integers
-            w[lo:i] = (math.factorial(m) // denoms[lo:i]).astype(np.float64)
         sw = np.array([_series_weight(q, a) for q, a in zip(denoms.tolist(), exps.tolist())])
         blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
-        for name, a in (("exponents", exps), ("weights", w), ("series_weights", sw),
+        for name, a in (("exponents", exps), ("series_weights", sw),
                         ("degrees", exps.sum(axis=1)), ("parents", parents),
                         ("variables", variables), ("degree_bounds", bounds),
                         ("blocks", blocks)):

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -20,3 +21,24 @@ def perturb_grad_fast(monkeypatch):
         monkeypatch.setattr(fastgrad, "grad_fast", perturbed)
 
     return perturb
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` returns ``(fn(), peak)``, peak the traced bytes of one call.
+
+    An untraced warm-up call comes first, so what a call caches for the
+    next (the basis ``build_basis`` keeps) is not counted.  Tracing runs
+    around the second call only, from outside it, and stops even if it raises.
+    """
+    def measure(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return measure

@@ -124,7 +124,7 @@ def _bench_rows(tmp_path, engine, ns, repeats):
     return {int(r["n"]): r for r in csv.DictReader(io.StringIO(out.read_text()))}
 
 
-def test_criterion_5_scaling_separation(tmp_path):
+def test_criterion_5_scaling_separation(tmp_path, traced_peak):
     t0 = time.perf_counter()
     fast_rows = _bench_rows(tmp_path, "fast", (256, 512, 1024, 2048), repeats=5)
     slow_rows = _bench_rows(tmp_path, "exact", (64, 128, 256), repeats=5)
@@ -133,10 +133,12 @@ def test_criterion_5_scaling_separation(tmp_path):
     fast_slope = _slope(sorted(fast), [fast[n] for n in sorted(fast)])
     exact_slope = _slope(sorted(slow), [slow[n] for n in sorted(slow)])
 
-    audit = tk.grad_fast(tk.random_instance(1024, 2, 0.8, 0), 1e-6, audit=True)
+    n = 1024
+    inst = tk.random_instance(n, 2, 0.8, 0)
+    _, peak = traced_peak(lambda: tk.grad_fast(inst, 1e-6))
     elapsed = time.perf_counter() - t0
     ok = (fast_slope <= 1.25 and exact_slope >= 2.5
-          and fast[2048] < 60.0 and audit.peak_bytes > 0)
+          and fast[2048] < 60.0 and 0 < peak < n * n * 8)
     walls = "; ".join(
         f"{name} " + ", ".join(f"n={n}: {rows[n] * 1e3:.3g} ms" for n in sorted(rows))
         for name, rows in (("exact", slow), ("fast", fast)))
@@ -145,7 +147,7 @@ def test_criterion_5_scaling_separation(tmp_path):
     _verdict("criterion 5", ok, elapsed, 300.0,
              f"fast slope {fast_slope:.2f} <= 1.25, exact slope "
              f"{exact_slope:.2f} >= 2.5, fast n=2048 in {fast[2048]:.3f}s < 60s, "
-             f"audited peak {audit.peak_bytes / 1e6:.1f} MB with no n^2 buffer "
+             f"traced peak {peak / 1e6:.2f} MB < n^2 * 8 = {n * n * 8 / 1e6:.2f} MB at n={n} "
              f"[walls: {walls}] [fast ranks: {ranks}]")
 
 
@@ -163,7 +165,7 @@ def test_criterion_6_hardness_bounds():
     sandwich_ok = bool((curve.h >= lo * (1 - 1e-12)).all()
                        and (curve.h <= up * (1 + 1e-12)).all())
 
-    f0, f1 = tk.f_lambda(hi, 0.0), tk.f_lambda(hi, 1.0)
+    f0, f1 = hardness.curve(hi, [0.0]).f[0], hardness.curve(hi, [1.0]).f[0]
     b_emp = hardness.empirical_second_derivative_bound(hi)
     avg_ok = all(
         abs(tk.avg_estimate(hi, t) - (f1 - f0)) <= b_emp / t

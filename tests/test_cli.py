@@ -87,6 +87,32 @@ def test_parser_allocates_only_the_rows_it_reads(tmp_path):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("cmd", ["grad", "check"])
+@pytest.mark.parametrize("bad", [b"\xff", "\u00e9".encode()], ids=["0xff", "utf8-e-acute"])
+def test_non_ascii_file_is_a_line_numbered_error(tmp_path, capsys, cmd, bad):
+    # read_instance decoded the file as ASCII text and let the
+    # UnicodeDecodeError escape as a traceback
+    path = _gen(tmp_path, n=2)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = bad + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    engine = ["--engine", "exact"] if cmd == "grad" else []
+    assert cli.main([cmd, "--in", str(path)] + engine) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["gen", "bench", "probe"])
+@pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["-1", "2**128"])
+def test_seed_outside_philox_key_range(cmd, seed, capsys):
+    # numpy's Philox key must lie in [0, 2^128): the seed ended in its
+    # ValueError traceback
+    argv = {"gen": ["gen", "--n", "2", "--d", "1"],
+            "bench": ["bench", "--n-list", "4", "--engine", "fast"],
+            "probe": ["probe", "--n", "4", "--d", "2", "--ba", "3"]}[cmd]
+    assert cli.main(argv + ["--seed", str(seed)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_grad_exact_and_fast_agree(tmp_path, capsys):
     path = _gen(tmp_path, n=6)
     assert cli.main(["grad", "--in", str(path), "--engine", "exact"]) == 0

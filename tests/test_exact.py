@@ -1,4 +1,4 @@
-import tracemalloc
+import math
 import warnings
 
 import numpy as np
@@ -137,18 +137,13 @@ def test_grad_finite_without_warning_at_exp_limit():
 
 
 @pytest.mark.parametrize("n", [64, 128, 192])
-def test_grad_exact_peak_is_two_row_blocks(n):
+def test_grad_exact_peak_is_two_row_blocks(n, traced_peak):
     # one block of F and one of P, each at most _BLOCK_ENTRIES doubles, plus
     # O(n^2 d^2) operands (H, the keys, the accumulator, kron(A2, A3)); the
     # three whole n x n^2 buffers held before took 6.4 MB at n=64
     d = 2
     inst = _instance(n, d, 1, bound=0.8)
-    tracemalloc.start()
-    try:
-        tk.grad_exact(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: tk.grad_exact(inst))
     blocks = 2 * 8 * exact._BLOCK_ENTRIES
     assert peak < blocks + 5 * 8 * n * n * d * d, (peak - blocks) / (8 * n * n * d * d)
 
@@ -257,6 +252,11 @@ def test_grad_fd_caps():
         tk.grad_fd(_instance(4, 5, 0), 1e-5)
     with pytest.raises(ValidationError):
         tk.grad_fd(_instance(4, 2, 0), 0.0)
+    # nan and inf steps passed the old "step <= 0" test and failed later as
+    # a NumericalError about the softmax-argument bound
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="step"):
+            tk.grad_fd(_instance(4, 2, 0), step)
 
 
 def test_attention_row_derivative_identity():

@@ -46,21 +46,21 @@ def test_hard_instance_validation():
 
 def test_f_uniform_all_ones():
     hi = tk.HardInstance(n=2, d=1, Ba=1.0, H=np.ones((2, 4)), V=np.ones((4, 1)))
-    assert tk.f_lambda(hi, 0.0) == pytest.approx(2.0)  # n * d
+    assert hardness.curve(hi, [0.0]).f[0] == pytest.approx(2.0)  # n * d
 
 
 def test_f_zero_target():
     hi = tk.HardInstance(n=2, d=1, Ba=2.0,
                          H=tk.make_hard_instance(2, 1, 2.0, 1).H,
                          V=np.zeros((4, 1)))
-    assert tk.f_lambda(hi, 0.7) == 0.0
+    assert hardness.curve(hi, [0.7]).f[0] == 0.0
     assert tk.f_prime(hi, 0.7) == 0.0
     assert tk.avg_estimate(hi, 10) == 0.0
 
 
 def test_f_frozen_value_and_double_sum_form():
     hi = tk.make_hard_instance(2, 1, 2.0, 3)
-    got = tk.f_lambda(hi, 0.5)
+    got = hardness.curve(hi, [0.5]).f[0]
     assert got == pytest.approx(0.10828177185666124, abs=1e-14)
     assert abs(got - hard_curve_dense(hi, 0.5)) <= 1e-14
     assert abs(got - hard_curve_rowsum(hi, 0.5)) <= 1e-10
@@ -95,7 +95,7 @@ def test_row_denominator_sandwich():
 
 def test_avg_estimate_bound_and_convergence():
     hi = tk.make_hard_instance(4, 2, 3.0, 5)
-    f0, f1 = tk.f_lambda(hi, 0.0), tk.f_lambda(hi, 1.0)
+    f0, f1 = hardness.curve(hi, [0.0]).f[0], hardness.curve(hi, [1.0]).f[0]
     b_emp = hardness.empirical_second_derivative_bound(hi)
     errs = {}
     for t in (1, 10, 100):
@@ -118,7 +118,7 @@ def test_curve_blocks_match_one_batch(monkeypatch):
     assert len(calls) == 4
     for a, b in zip(whole, blocked):
         assert np.array_equal(a, b)
-    assert whole.f[3] == tk.f_lambda(hi, float(lams[3]))
+    assert whole.f[3] == hardness.curve(hi, [float(lams[3])]).f[0]
     assert whole.fp[3] == tk.f_prime(hi, float(lams[3]))
 
 
@@ -155,7 +155,7 @@ def test_avg_estimate_validation():
 def test_overflow_guard(monkeypatch):
     hi = tk.make_hard_instance(2, 1, 2.0, 0)
     with pytest.raises(NumericalError, match="exp limit"):
-        tk.f_lambda(hi, 400.0)
+        hardness.curve(hi, [400.0])
     # a streamed grid is checked whole, before its first block runs
     monkeypatch.setattr(hardness, "_PROBE_ENTRIES", hi.H.size)
     monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
