@@ -5,10 +5,13 @@ by a sequence cap.  It serves as the ground-truth oracle for the low-rank
 engine.  ``forward``, ``loss`` and ``grad_exact`` stream the n x n^2
 attention matrix F through ``_row_blocks``, which runs the cap and
 exp-limit checks once per call and then yields b rows of F at a time, with
-b * n^2 at most ``_BLOCK_ENTRIES``: the gradient holds one row block of F
-and one of P = (W - r) * F, never a whole n x n^2 buffer.
-``attention_weights`` and ``compute_intermediates`` materialize the dense
-matrices through ``_scores`` as the specification the tests read.
+b = ``block_len(n^2)``: the gradient holds one row block of F and one of
+P = (W - r) * F, never a whole n x n^2 buffer.  ``attention_weights`` and
+``compute_intermediates`` materialize the dense matrices through
+``_scores`` as the specification the tests read.  H is always
+``col_kron(V1, V2)`` of the projections.  Every dense stream, the
+hard-curve probe included, takes its exp-limit test (``check_exp_limit``)
+and its scratch budget (``block_len``) from here.
 """
 
 import math
@@ -25,7 +28,7 @@ DEFAULT_EXACT_CAP = 256
 EXP_ARG_LIMIT = 700.0
 FD_N_CAP = 8
 FD_D_CAP = 4
-# entries of one row block of F (1 MiB); of 2^15..2^18, the fastest at n=128
+# entries of a scratch block (1 MiB); of 2^15..2^18, the fastest at n=128
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -56,16 +59,16 @@ def _check_cap(n):
         )
 
 
-def _check_exp_bound(q, k1, k2):
-    # every softmax argument is bounded by the row bound R that also sets the
-    # fast engine's degree (lowrank.softmax_arg_bound); an overflowed
-    # projection makes R nan, which must fail too
-    bound = softmax_arg_bound(q, k1, k2)
-    if not bound <= EXP_ARG_LIMIT:
-        raise NumericalError(
-            f"softmax argument bound {bound:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
-        )
-    return bound
+def check_exp_limit(what, value):
+    """Raise ``NumericalError`` unless ``value``, a bound on |exp arguments|, is
+    within ``EXP_ARG_LIMIT``; a nan (an overflowed projection or lambda) fails."""
+    if not value <= EXP_ARG_LIMIT:
+        raise NumericalError(f"{what} {value:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
+
+
+def block_len(item_entries):
+    """Items of ``item_entries`` doubles per scratch block, at least one."""
+    return max(1, _BLOCK_ENTRIES // item_entries)
 
 
 def _scores(inst, x=None, a23=None):
@@ -80,16 +83,12 @@ def _scores(inst, x=None, a23=None):
     _check_cap(inst.n)
     if x is None:
         q, k1, k2, _, _ = inst.projected()
-        _check_exp_bound(q, k1, k2)
+        check_exp_limit("softmax argument bound", softmax_arg_bound(q, k1, k2))
         return (q / inst.d) @ col_kron(k1, k2).T
     if a23 is None:
         a23 = kron(inst.A2, inst.A3)
     scores = (inst.A1 @ x) @ a23.T / inst.d
-    amax = float(np.abs(scores).max()) if scores.size else 0.0
-    if not amax <= EXP_ARG_LIMIT:
-        raise NumericalError(
-            f"softmax argument bound {amax:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}"
-        )
+    check_exp_limit("softmax argument max", float(np.abs(scores).max()))
     return scores
 
 
@@ -106,14 +105,9 @@ def attention_weights(inst):
     return _softmax_rows(_scores(inst))
 
 
-def _value_matrix(inst):
-    v1, v2 = inst.A4 @ inst.Y1, inst.A5 @ inst.Y2
-    return col_kron(v1, v2)
-
-
 def _block_rows(n):
-    """Rows b per block: b * n^2 <= ``_BLOCK_ENTRIES``, at least one, at most n."""
-    return min(n, max(1, _BLOCK_ENTRIES // (n * n)))
+    """Rows b per row block of F: ``block_len(n^2)``, at most n."""
+    return min(n, block_len(n * n))
 
 
 def _row_blocks(inst):
@@ -127,7 +121,7 @@ def _row_blocks(inst):
     n = inst.n
     _check_cap(n)
     q, k1, k2, v1, v2 = inst.projected()
-    _check_exp_bound(q, k1, k2)
+    check_exp_limit("softmax argument bound", softmax_arg_bound(q, k1, k2))
     h = col_kron(v1, v2)
     keys_t = np.ascontiguousarray(col_kron(k1, k2).T)
     q = q / inst.d
@@ -161,7 +155,7 @@ def loss(inst):
 
 
 def _loss_given_x(inst, x, a23, h):
-    # a23 = kron(A2, A3) and h = _value_matrix(inst) do not depend on x
+    # a23 = kron(A2, A3) and h = col_kron(V1, V2) do not depend on x
     r = _softmax_rows(_scores(inst, x, a23)) @ h - inst.E
     return 0.5 * float((r * r).sum())
 
@@ -187,7 +181,7 @@ class ExactIntermediates:
 
 def compute_intermediates(inst):
     f = _softmax_rows(_scores(inst))
-    h = _value_matrix(inst)
+    h = col_kron(*inst.projected()[3:])
     vres = f @ h - inst.E
     w = vres @ h.T
     p = w - np.einsum("ij,ij->i", f, w)[:, None]
@@ -237,7 +231,7 @@ def grad_fd(inst, step):
     d = inst.d
     x0 = inst.composite_x()
     a23 = kron(inst.A2, inst.A3)
-    h = _value_matrix(inst)
+    h = col_kron(*inst.projected()[3:])
     g = np.empty((d, d * d))
     for i in range(d):
         for j in range(d * d):

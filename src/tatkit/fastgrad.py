@@ -29,6 +29,8 @@ No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
 the feature buffer, 3 n k1 entries; every other one is O(n d^2).  Nothing
 here traces allocations: the tests check that bound by tracing whole calls.
 ``eps_target`` reads the W factors U2, A4 Y1 and A5 Y2 from arrays it holds.
+The report carries what the call chose (degree, ranks, R, ``eps_target``
+and the stage timings), not the caller's own eps echoed back.
 """
 
 import time
@@ -55,12 +57,14 @@ class FastGradientReport:
     ``k1`` is the feature rank C(d+g, g) at ``degree`` g, ``k2`` = d the rank
     of W, ``k3`` = k1*d and ``k4`` = k1 the ranks of Pa and Pb, and ``k5``
     their sum, the length of the contractions the gradient is assembled
-    from.  ``arg_bound`` is the bound R on the softmax arguments that set
-    ``degree`` (:func:`~tatkit.lowrank.softmax_arg_bound`).  ``eps_target``
-    is a worst-case runtime bound on the gradient error, derived from the
-    requested eps, n and the instance magnitudes, not the degree or R.  It
-    is very loose: 135 against a measured max error of 2.3e-13 at eps 1e-6
-    on ``random_instance(64, 2, 0.8, 1)``.  ``stage_timings`` holds the
+    from.  ``arg_bound`` is the bound R on the softmax arguments
+    (:func:`~tatkit.lowrank.softmax_arg_bound`), and ``degree`` is
+    ``choose_degree(arg_bound, eps / 2)``: half of the caller's eps goes to
+    the attention factors.  ``eps_target`` is a worst-case runtime bound on
+    the gradient error, derived from that eps / 2, n and the instance
+    magnitudes, not the degree or R.  It is very loose: 135 against a
+    measured max error of 2.3e-13 at eps 1e-6 on
+    ``random_instance(64, 2, 0.8, 1)``.  ``stage_timings`` holds the
     seconds spent in each stage of the module docstring: ``feature_map``,
     ``key_contract``, ``residual_u2``, ``query_contract`` and ``assemble``.
     """
@@ -73,8 +77,6 @@ class FastGradientReport:
     k5: int
     degree: int
     arg_bound: float
-    eps_requested: float
-    eps_internal: float
     eps_target: float
     stage_timings: dict
 
@@ -137,14 +139,14 @@ def build_Pb_factors(f_factors, w_factors):
     return triple, r_tilde
 
 
-def _error_budget(inst, eps_internal, u2, v2, w2):
+def _error_budget(inst, eps_f, u2, v2, w2):
     # worst-case amplification of the entrywise F error through the pipeline;
     # rows of the (approximate) attention matrix sum to 1 and stay in (0, 1].
     # u2, v2, w2 are the W factors (U2, A4 Y1, A5 Y2), and h_inf is
     # max |col_kron(v2, w2)| without forming it: the largest column-max product
     n, d = inst.n, inst.d
     h_inf = float((col_abs_max(v2) * col_abs_max(w2)).max())
-    delta_f = eps_internal
+    delta_f = eps_f
     delta_v = min(2.0, n * n * delta_f) * h_inf
     w_inf = d * (float(np.abs(u2).max()) + delta_v) * h_inf
     delta_w = d * delta_v * h_inf
@@ -181,11 +183,11 @@ def grad_fast(inst, eps):
             f"rounding noise will dominate the approximation error"
         )
     n, d = inst.n, inst.d
-    eps_internal = eps / 2.0
+    eps_f = eps / 2.0
     proj = inst.projected()
     q, kq1, kq2, v2, w2 = proj
     arg_bound = softmax_arg_bound(q, kq1, kq2)
-    degree, k1 = f_degree(d, arg_bound, eps_internal)
+    degree, k1 = f_degree(d, arg_bound, eps_f)
     k2 = d
     k3 = k1 * k2
     if k3 > RANK_CAP:
@@ -267,14 +269,12 @@ def grad_fast(inst, eps):
     g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
     timings["assemble"] = time.perf_counter() - t
 
-    eps_target = _error_budget(inst, eps_internal, u2_t.T, v2, w2)
+    eps_target = _error_budget(inst, eps_f, u2_t.T, v2, w2)
     return FastGradientReport(
         g_tilde=g_tilde,
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
         degree=degree,
         arg_bound=arg_bound,
-        eps_requested=eps,
-        eps_internal=eps_internal,
         eps_target=eps_target,
         stage_timings=timings,
     )

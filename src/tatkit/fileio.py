@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .instance import MATRIX_FIELDS, AttnInstance
+from .instance import MATRIX_FIELDS, AttnInstance, matrix_shape
 
 HEADER = "TATINST"
 
@@ -68,7 +68,7 @@ def parse_instance(text):
         label, ln = next_line(f"block label {name}")
         if label != name:
             _fail(ln, f"expected block {name!r}, got {label!r}")
-        rows, cols = (n, d) if name in ("A1", "A2", "A3", "A4", "A5", "E") else (d, d)
+        rows, cols = matrix_shape(name, n, d)
         block = []  # filled as rows are read: a header larger than the file allocates nothing
         for r in range(rows):
             line, ln = next_line(f"row {r + 1} of {name}")

@@ -16,7 +16,8 @@ each caller evaluates a lambda grid in one call: ``f_prime`` reads it at one
 lambda, ``empirical_second_derivative_bound`` on its fixed grid,
 ``avg_estimate`` one kernel block at a time and ``tat probe`` for f, f' and h.
 f at one lambda is ``curve(hi, [lam]).f[0]``.  ``make_hard_instance`` draws
-from the same seeded Philox generator as ``random_instance``.
+from the same seeded Philox generator as ``random_instance``.  The exp-limit
+test and the kernel's block budget are the exact engine's (``exact``).
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericalError, ValidationError
-from .exact import EXP_ARG_LIMIT, _check_cap
+from .exact import _check_cap, block_len, check_exp_limit
 from .instance import philox
 
 
@@ -83,7 +84,6 @@ def make_hard_instance(n, d, ba, seed):
     return HardInstance(n=n, d=d, Ba=float(ba), H=h, V=v)
 
 
-_PROBE_ENTRIES = 1 << 20  # entries of L x n x n^2 per hard_probe_rows call
 _F2_STEP = 1e-5  # lambda step of the central difference of f' for f''
 _F2_POINTS = 101  # grid on [0, 1] over which max |f''| is taken
 
@@ -92,10 +92,8 @@ Curve = namedtuple("Curve", "f fp h")
 
 def _probe_block(hi, lam_max):
     """Lambdas per hard_probe_rows call, once ``lam_max`` * Ba is within the exp limit."""
-    top = float(lam_max) * hi.Ba
-    if top > EXP_ARG_LIMIT:
-        raise NumericalError(f"lambda * Ba = {top:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
-    return max(1, _PROBE_ENTRIES // hi.H.size)
+    check_exp_limit("lambda * Ba =", float(lam_max) * hi.Ba)
+    return block_len(hi.H.size)
 
 
 def curve(hi, lams):
@@ -103,9 +101,10 @@ def curve(hi, lams):
 
     f' comes from the per-row quotient rule, g'/h - (g/h)(h'/h), which forms
     no product of two row sums.  The exp limit is checked once, on the
-    largest lambda; the kernel gets blocks of _PROBE_ENTRIES // n^3.  A row
-    sum that overflows (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8)
-    raises ``NumericalError`` instead of returning a nan.
+    largest lambda (a nan fails it) before the kernel runs, which gets
+    blocks of ``exact.block_len(n^3)`` lambdas.  A row sum that overflows
+    (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8) raises
+    ``NumericalError`` instead of returning a nan.
     """
     lams = np.asarray(lams, dtype=np.float64)
     block = _probe_block(hi, lams.max())

@@ -1,7 +1,7 @@
 """Problem instances for the third-order attention loss."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,6 +9,11 @@ from .errors import ValidationError
 from .tensorops import col_kron, row_kron  # noqa: F401  (col_kron: perfbench/spans.py WRAPS looks it up here)
 
 MATRIX_FIELDS = ("A1", "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")
+
+
+def matrix_shape(name, n, d):
+    """Shape of block ``name``: A1..A5 and E are n x d; X1..X3, Y1, Y2 are d x d."""
+    return (n, d) if name in ("A1", "A2", "A3", "A4", "A5", "E") else (d, d)
 
 
 @dataclass(frozen=True)
@@ -38,19 +43,14 @@ class AttnInstance:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValidationError(f"n and d must be positive, got n={self.n} d={self.d}")
-        for f in fields(self):
-            if f.name in ("n", "d"):
-                continue
-            a = np.ascontiguousarray(np.asarray(getattr(self, f.name), dtype=np.float64))
-            object.__setattr__(self, f.name, a)
-            want = (self.n, self.d) if f.name in ("A1", "A2", "A3", "A4", "A5", "E") \
-                else (self.d, self.d)
+        for name in MATRIX_FIELDS:
+            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, a)
+            want = matrix_shape(name, self.n, self.d)
             if a.shape != want:
-                raise ValidationError(
-                    f"{f.name} must have shape {want}, got {a.shape}"
-                )
+                raise ValidationError(f"{name} must have shape {want}, got {a.shape}")
             if not np.isfinite(a).all():
-                raise ValidationError(f"{f.name} contains non-finite entries")
+                raise ValidationError(f"{name} contains non-finite entries")
 
     def composite_x(self):
         """X = X1 @ (X2.T rowkron X3.T), shape d x d^2."""
@@ -90,6 +90,5 @@ def random_instance(n, d, bound, seed):
     rng = philox(seed)
     blocks = {}
     for name in MATRIX_FIELDS:
-        shape = (n, d) if name in ("A1", "A2", "A3", "A4", "A5", "E") else (d, d)
-        blocks[name] = rng.uniform(-bound, bound, size=shape)
+        blocks[name] = rng.uniform(-bound, bound, size=matrix_shape(name, n, d))
     return AttnInstance(n=n, d=d, **blocks)

@@ -10,10 +10,10 @@ where k = k1 * k2 entrywise, so k^alpha = k1^alpha * k2^alpha splits into the
 two key-side factors.  :class:`MonomialBasis` is that series, built from
 its run table: each run of degree-m entries is one variable times a run of
 degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
-array (exponents, parents, the exact integers alpha!) is filled run by run
-from it.  The series weights 1/alpha! (``MonomialBasis.series_weights``)
-follow from those integers by one rule, and are the basis's only weights and
-the only copy of the series' coefficients.  :func:`feature_map` returns raw
+array (exponents, the exact integers alpha!) is filled run by run from it.
+The series weights 1/alpha! (``MonomialBasis.series_weights``) follow from
+those integers by one rule, and are the basis's only weights and the only
+copy of the series' coefficients.  :func:`feature_map` returns raw
 monomials.  The weights have two readers, both on the query side:
 :func:`build_F_factors` multiplies its U by them and ``fastgrad.grad_fast``
 its k1-sized contractions.  The raw key-side V, W make ``col_kron(V, W)``
@@ -109,30 +109,30 @@ class MonomialBasis:
     e_v plus the last C(m+d-2-v, d-1-v) entries of degree m - 1, in the
     same order.  ``blocks`` lists these runs, one row (dst, src, length, v)
     per (m, v) with m >= 1: entries ``dst:dst + length`` are entries
-    ``src:src + length`` times variable v.  ``kernels.feature_rows`` walks
-    the same table.  Every per-entry array is filled run by run from it:
-    entry i > 0 has parent ``parents[i]`` and variable ``variables[i]``, so
-    ``exponents[i] = exponents[parents[i]] + e_variables[i]``; entry 0, the
-    constant monomial, has parent and variable -1.  Degree m occupies the
-    entries ``degree_bounds[m]:degree_bounds[m + 1]``.
+    ``src:src + length`` times variable v, so ``exponents[dst:dst + length]``
+    is ``exponents[src:src + length] + e_v``.  ``kernels.feature_rows``
+    walks the same table, and every per-entry array is filled run by run
+    from it.  Entry 0 is the constant monomial.  Degree m occupies the
+    entries ``degree_bounds[m]:degree_bounds[m + 1]``, and ``degrees`` holds
+    |alpha| per entry.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
-    from its parents.  ``series_weights`` holds the one series weight
+    from its source run.  ``series_weights`` holds the one series weight
     1 / alpha! of each entry: 1/float(alpha!) while that float is finite,
     exp(-sum_t lgamma(alpha_t + 1)) past it.  They are the basis's only
-    weights; |alpha|! times them gives the multinomial coefficients.  All
-    arrays are read-only.
+    weights; |alpha|! times them gives the multinomial coefficients.
+
+    The constructor takes d and g only: every array is derived from them,
+    and passing one raises ``TypeError``.  All arrays are read-only.
     """
 
     d: int
     g: int
-    exponents: np.ndarray = field(default=None)
-    degrees: np.ndarray = field(default=None)
-    series_weights: np.ndarray = field(default=None)
-    parents: np.ndarray = field(default=None)
-    variables: np.ndarray = field(default=None)
-    degree_bounds: np.ndarray = field(default=None)
-    blocks: np.ndarray = field(default=None)
+    exponents: np.ndarray = field(init=False)
+    degrees: np.ndarray = field(init=False)
+    series_weights: np.ndarray = field(init=False)
+    degree_bounds: np.ndarray = field(init=False)
+    blocks: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d, g = self.d, self.g
@@ -147,8 +147,6 @@ class MonomialBasis:
             )
         exps = np.zeros((size, d), dtype=np.int64)
         denoms = np.ones(size, dtype=object)  # exact integers alpha!
-        parents = np.full(size, -1, dtype=np.intp)
-        variables = np.full(size, -1, dtype=np.intp)
         # degree 0 is entry 0 alone; bounds[2:] are overwritten below
         bounds = np.arange(g + 2, dtype=np.intp)
         runs = []
@@ -161,16 +159,13 @@ class MonomialBasis:
                 exps[run] = exps[src:lo]
                 exps[run, v] += 1
                 denoms[run] = denoms[src:lo] * exps[run, v].astype(object)
-                parents[run] = np.arange(src, lo)
-                variables[run] = v
                 runs.append((i, src, length, v))
                 i += length
             bounds[m + 1] = i
         sw = np.array([_series_weight(q, a) for q, a in zip(denoms.tolist(), exps.tolist())])
         blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
         for name, a in (("exponents", exps), ("series_weights", sw),
-                        ("degrees", exps.sum(axis=1)), ("parents", parents),
-                        ("variables", variables), ("degree_bounds", bounds),
+                        ("degrees", exps.sum(axis=1)), ("degree_bounds", bounds),
                         ("blocks", blocks)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)

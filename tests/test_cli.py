@@ -199,6 +199,15 @@ def test_bench_bad_nlist():
     assert cli.main(["bench", "--n-list", "4,x", "--engine", "fast"]) == 1
 
 
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_bench_rejects_repeats_below_one(repeats, capsys):
+    # one timed call ran, and the CSV row reported an option not honoured
+    assert cli.main(["bench", "--n-list", "4", "--engine", "fast",
+                     "--repeats", repeats]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validation error: --repeats" in captured.err
+
+
 @pytest.mark.parametrize("bound", ["inf", "nan", "1e308"])
 def test_gen_rejects_bound_without_finite_range(bound, capsys):
     # the uniform draw over [-bound, bound] raised OverflowError
@@ -250,6 +259,32 @@ def test_probe_large_ba_finite_or_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "probe: OK" not in captured.err
     assert "non-finite hard-curve value" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--n", "2", "--d", "1"], ["--n", "3", "--d", "2"],
+                                  ["--n", "4", "--d", "2", "--t", "7"]])
+def test_probe_flat_curve_passes(argv, capsys):
+    # Ba = 1 makes H all ones and the curve flat, so b_emp = 0: a gap of one
+    # ulp between s_t and f1 - f0 failed against b_emp / t = 0
+    assert cli.main(["probe", "--ba", "1", *argv]) == 0
+    assert "probe: OK" in capsys.readouterr().err
+
+
+def test_probe_rounding_allowance_still_catches_an_averaging_error(capsys, monkeypatch):
+    argv = ["probe", "--n", "8", "--d", "2", "--ba", "3", "--t", "100"]
+    avg = hardness.avg_estimate
+    # seed 5: b_emp / t = 6.7e-4, and s_t off by 1e-3 fails
+    monkeypatch.setattr(hardness, "avg_estimate", lambda hi, t: avg(hi, t) + 1e-3)
+    assert cli.main(argv + ["--seed", "5"]) == 2
+    assert "averaging error" in capsys.readouterr().err
+    # seed 0: a gap 1e-9 relative past b_emp / t fails; the allowance is ~1e-13
+    hi = hardness.make_hard_instance(8, 2, 3.0, 0)
+    f0, f1 = hardness.curve(hi, [0.0, 1.0]).f
+    b_emp = hardness.empirical_second_derivative_bound(hi)
+    monkeypatch.setattr(hardness, "avg_estimate",
+                        lambda hi, t: f1 - f0 + b_emp / t * (1 + 1e-9))
+    assert cli.main(argv + ["--seed", "0"]) == 2
+    assert "averaging error" in capsys.readouterr().err
 
 
 def test_probe_validation():

@@ -249,12 +249,10 @@ def test_eps_validation_and_warning():
 def test_report_contents():
     inst = tk.random_instance(8, 2, 0.8, 5)
     rep = tk.grad_fast(inst, 1e-6)
-    assert rep.eps_requested == 1e-6
-    assert rep.eps_internal == 5e-7
     assert rep.eps_target > 0
     q, k1, k2, _, _ = inst.projected()
     assert rep.arg_bound == lowrank.softmax_arg_bound(q, k1, k2)
-    assert rep.degree == tk.choose_degree(rep.arg_bound, rep.eps_internal)
+    assert rep.degree == tk.choose_degree(rep.arg_bound, 1e-6 / 2)
     assert set(rep.stage_timings) == {
         "feature_map", "key_contract", "residual_u2", "query_contract", "assemble",
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import hardness
+from tatkit import exact, hardness
 from tatkit.errors import NumericalError, ValidationError
 from tatkit.tensorops import col_kron
 
@@ -113,7 +113,7 @@ def test_curve_blocks_match_one_batch(monkeypatch):
     kernel = hardness.kernels.hard_probe_rows
     monkeypatch.setattr(hardness.kernels, "hard_probe_rows",
                         lambda *a: calls.append(1) or kernel(*a))
-    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 3 * hi.H.size)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * hi.H.size)
     blocked = hardness.curve(hi, lams)
     assert len(calls) == 4
     for a, b in zip(whole, blocked):
@@ -127,7 +127,7 @@ def test_avg_estimate_streams_its_grid(monkeypatch):
     hi = tk.make_hard_instance(4, 2, 3.0, 5)
     want = {t: sum(hardness.curve(hi, np.arange(t) / t).fp.tolist()) / t
             for t in (1, 5, 6, 7, 13)}
-    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 6 * hi.H.size)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 6 * hi.H.size)
     for t, s_t in want.items():
         assert tk.avg_estimate(hi, t) == s_t
 
@@ -135,7 +135,7 @@ def test_avg_estimate_streams_its_grid(monkeypatch):
 def test_avg_estimate_memory_flat_in_t(monkeypatch):
     # the t-point grid was evaluated in one curve call: 10.0 MiB traced at
     # t = 2e4 with these blocks, and growing linearly in t
-    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", 1 << 14)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 1 << 14)
     hi = tk.make_hard_instance(8, 2, 3.0, 0)
     tracemalloc.start()
     try:
@@ -157,10 +157,20 @@ def test_overflow_guard(monkeypatch):
     with pytest.raises(NumericalError, match="exp limit"):
         hardness.curve(hi, [400.0])
     # a streamed grid is checked whole, before its first block runs
-    monkeypatch.setattr(hardness, "_PROBE_ENTRIES", hi.H.size)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", hi.H.size)
     monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
     with pytest.raises(NumericalError, match="exp limit"):
         tk.avg_estimate(tk.make_hard_instance(2, 1, 800.0, 0), 100)
+
+
+def test_nan_lambda_fails_the_exp_limit_before_the_kernel(monkeypatch):
+    # lambda * Ba > limit was false for a nan lambda: the kernel ran and the
+    # curve then failed as "a row sum overflowed"
+    hi = tk.make_hard_instance(2, 1, 2.0, 0)
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
+    for lams in ([np.nan], [0.5, np.nan]):
+        with pytest.raises(NumericalError, match="lambda \\* Ba = nan exceeds exp limit"):
+            hardness.curve(hi, lams)
 
 
 def test_curve_finite_past_quotient_overflow():

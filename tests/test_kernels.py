@@ -32,5 +32,11 @@ def test_feature_map_matches_gather_bit_for_bit():
         for g in (0, 1, 6, 12):
             b = tk.build_basis(d, g)
             got = tk.feature_map(m, b)
-            want = feature_rows_gather(m, b.parents, b.variables, b.degree_bounds)
+            # the gather's index arrays, one entry per column, from the run table
+            parents = np.full(b.size, -1, dtype=np.intp)
+            variables = np.full(b.size, -1, dtype=np.intp)
+            for dst, src, length, v in b.blocks:
+                parents[dst:dst + length] = np.arange(src, src + length)
+                variables[dst:dst + length] = v
+            want = feature_rows_gather(m, parents, variables, b.degree_bounds)
             assert np.array_equal(got, want), (d, g)

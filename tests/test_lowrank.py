@@ -117,24 +117,24 @@ def test_basis_count_law():
 def test_basis_parent_recurrence_and_cache():
     for d, g in ((1, 5), (2, 7), (3, 6), (4, 4)):
         b = tk.build_basis(d, g)
-        assert b.parents[0] == -1 and b.variables[0] == -1
-        for i in range(1, b.size):
-            p, v = b.parents[i], b.variables[i]
-            assert b.degrees[p] == b.degrees[i] - 1
-            assert (b.exponents[i] - b.exponents[p] == np.eye(d, dtype=int)[v]).all()
+        assert (b.exponents[0] == 0).all()
+        for dst, src, length, v in b.blocks:
+            step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
+            assert (step == np.eye(d, dtype=int)[v]).all()
+            assert (b.degrees[src:src + length] == b.degrees[dst] - 1).all()
         for m in range(g + 1):
             lo, hi = b.degree_bounds[m], b.degree_bounds[m + 1]
             assert (b.degrees[lo:hi] == m).all()
         assert b.degree_bounds[-1] == b.size
         assert tk.build_basis(d, g) is b
-        for a in (b.exponents, b.series_weights, b.degrees,
-                  b.parents, b.variables, b.degree_bounds):
+        for a in (b.exponents, b.series_weights, b.degrees, b.degree_bounds):
             assert not a.flags.writeable
 
 
 def test_basis_blocks_reproduce_recurrence():
-    # each (degree, first variable) run is a contiguous slice whose parents
-    # are a contiguous slice of the previous degree; together they cover 1..size
+    # each (degree, first variable) run is a contiguous slice that is a
+    # contiguous slice of the previous degree times one variable; together
+    # the runs cover 1..size
     for d in range(1, 6):
         for g in range(13):
             b = tk.build_basis(d, g)
@@ -143,11 +143,21 @@ def test_basis_blocks_reproduce_recurrence():
             covered = np.zeros(b.size, dtype=int)
             for dst, src, length, v in b.blocks:
                 assert length > 0
-                assert (b.parents[dst:dst + length] == np.arange(src, src + length)).all()
-                assert (b.variables[dst:dst + length] == v).all()
+                step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
+                assert (step == np.eye(d, dtype=int)[v]).all()
                 assert b.degrees[src] == b.degrees[dst] - 1
                 covered[dst:dst + length] += 1
             assert covered[0] == 0 and (covered[1:] == 1).all(), (d, g)
+
+
+@pytest.mark.parametrize("name", ["exponents", "degrees", "series_weights",
+                                  "degree_bounds", "blocks"])
+def test_basis_takes_only_d_and_g(name):
+    # the arrays were constructor parameters that __post_init__ overwrote,
+    # so MonomialBasis(d=2, g=2, series_weights=w) silently dropped w
+    with pytest.raises(TypeError, match=name):
+        tk.MonomialBasis(d=2, g=2, **{name: np.ones(6)})
+    assert tk.MonomialBasis(2, 2).size == 6
 
 
 def test_basis_rank_cap():

@@ -54,3 +54,21 @@ def test_module_imports_are_used():
                 if name not in read and name not in reason:
                     unused.append(f"{os.path.basename(path)}:{stmt.lineno} {name}")
     assert not unused, f"module-level imports never read: {unused}"
+
+
+def test_exp_limit_is_compared_once():
+    # every dense stream (the exact engine, the FD oracle, the hard-curve
+    # probe) calls exact.check_exp_limit instead of spelling its own test
+    sites = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            # a bare name or an attribute such as exact.EXP_ARG_LIMIT
+            names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                     for sub in ast.walk(node)}
+            if "EXP_ARG_LIMIT" in names:
+                sites.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert len(sites) == 1, f"comparisons against EXP_ARG_LIMIT: {sites}"
