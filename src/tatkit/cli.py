@@ -23,7 +23,7 @@ FD_REL_GATE = 1e-4
 CSV_COLUMNS = (
     "n", "d", "eps", "degree_g", "k1", "k5",
     "method", "wall_seconds", "linf_err_vs_exact", "seed",
-    "wall_min_seconds", "wall_spread_seconds",
+    "wall_min_seconds", "wall_spread_seconds", "ns_per_n3",
 )
 
 
@@ -165,6 +165,7 @@ def _cmd_bench(args):
             _, wall, lo, spread = _wall_times(lambda: exact.grad_exact(inst), args.repeats)
             row = [n, args.d, repr(args.eps), "", "", "",
                    "exact", repr(wall), "", args.seed]
+            per_n3 = repr(wall / n ** 3 * 1e9)  # the exact engine is cubic
         else:
             report, wall, lo, spread = _wall_times(
                 lambda: fastgrad.grad_fast(inst, args.eps), args.repeats
@@ -176,7 +177,8 @@ def _cmd_bench(args):
                 err_s = ""
             row = [n, args.d, repr(args.eps), report.degree, report.k1,
                    report.k5, "fast", repr(wall), err_s, args.seed]
-        writer.writerow(row + [repr(lo), repr(spread)])
+            per_n3 = ""
+        writer.writerow(row + [repr(lo), repr(spread), per_n3])
         print(f"bench: n={n} engine={args.engine} wall={wall:.6g}s",
               file=sys.stderr)
     _emit(buf.getvalue(), args.csv)

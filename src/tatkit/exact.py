@@ -2,16 +2,19 @@
 
 Every softmax argument is computed, so the engine is cubic in n and guarded
 by a sequence cap.  It serves as the ground-truth oracle for the low-rank
-engine.  ``forward``, ``loss`` and ``grad_exact`` stream the n x n^2
-attention matrix F through ``_row_blocks``, which runs the cap and
-exp-limit checks once per call and then yields b rows of F at a time, with
-b = ``block_len(n^2)``: the gradient holds one row block of F and one of
-P = (W - r) * F, never a whole n x n^2 buffer.  ``attention_weights`` and
-``compute_intermediates`` materialize the dense matrices through
-``_scores`` as the specification the tests read.  H is always
-``col_kron(V1, V2)`` of the projections.  Every dense stream, the
-hard-curve probe included, takes its exp-limit test (``check_exp_limit``)
-and its scratch budget (``block_len``) from here.
+engine.  ``forward``, ``loss`` and ``grad_exact`` share one kernel,
+``_moments``.  It runs the cap and exp-limit checks once per call, then
+forms the unnormalized attention weights of b = ``block_len(n^2)`` query
+rows at a time and reads each block once, by two Kronecker contractions
+(over l, then over j) against [1 | V] and [1 | A] operands.  Per query row
+it keeps a (d+1)^3 moment tensor, from which the forward row and the
+gradient row are read, so the forward rows of ``forward`` and
+``grad_exact`` are the same bits.  No n x n^2 matrix exists besides one
+block of weights.  ``attention_weights`` and ``compute_intermediates``
+materialize F, W and P through ``_scores`` as the specification the tests
+read.  H is always ``col_kron(V1, V2)`` of the projections.  Every dense
+stream, the hard-curve probe included, takes its exp-limit test
+(``check_exp_limit``) and its scratch budget (``block_len``) from here.
 """
 
 import math
@@ -93,7 +96,7 @@ def _scores(inst, x=None, a23=None):
 
 
 def _softmax_rows(scores):
-    """Row softmax of a score buffer (``_scores`` or one row block), in place: F."""
+    """Row softmax of a ``_scores`` buffer, in place: F."""
     scores -= scores.max(axis=1)[:, None]
     np.exp(scores, out=scores)
     scores *= 1.0 / scores.sum(axis=1)[:, None]
@@ -106,46 +109,70 @@ def attention_weights(inst):
 
 
 def _block_rows(n):
-    """Rows b per row block of F: ``block_len(n^2)``, at most n."""
+    """Rows b per row block of the weights: ``block_len(n^2)``, at most n."""
     return min(n, block_len(n * n))
 
 
-def _row_blocks(inst):
-    """H (n^2 x d) and an iterator over row blocks ``(rows, F_J, Y_J)`` of F.
+def _matmul_rows(a, b, out):
+    """``out = a @ b`` in row chunks of at most ``_BLOCK_ENTRIES`` multiply-adds.
 
-    The cap and exp-limit checks run once, here, before anything n^2-sized
-    is built.  Each block holds b = ``_block_rows(n)`` rows of the normalized
-    F and their forward rows Y_J = F_J @ H.  F_J is a view of one buffer
-    that the next block overwrites.
+    OpenBLAS spreads a product of 2^19 or more multiply-adds over every
+    core.  On a shared 2-vCPU host such calls stalled for ~8 ms at a time,
+    while one-thread chunks of this size ran as fast as the threaded call.
     """
-    n = inst.n
+    step = block_len(b.size)
+    for lo in range(0, a.shape[0], step):
+        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+
+
+def _moments(inst):
+    """Forward rows Y (n x d) and the unnormalized attention moments T.
+
+    T (n x (d+1)^3) holds, per query row j0 with unnormalized weights
+    w = exp(s - rowmax) and M' = [1 | M] for each n x d matrix M,
+
+        T[j0, b, e, f] = sum_{j,l} w[j0, (j, l)] V1'[j, b] V2'[l, b] A2'[j, e] A3'[l, f],
+
+    so T[j0, 0, 0, 0] is the row total, Y_j0 = T[j0, 1:, 0, 0] / total and
+    T[j0, :, 1:, 1:] is what the gradient contracts.  The cap and exp-limit
+    checks run once, here, before anything n^2-sized is built.  Each block
+    of ``_block_rows(n)`` query rows J forms its weights in one |J|*n x n
+    buffer, from the scores (Q_J * K1) @ K2.T / d, and reads them once:
+    stage 1 contracts l, w @ row_kron(V2', A3') with an n x (d+1)^2
+    operand; stage 2 contracts j against row_kron(V1', A2'), one matmul
+    batched over (j0, b).  Nothing else is of size n^2.
+    """
+    n, d = inst.n, inst.d
     _check_cap(n)
     q, k1, k2, v1, v2 = inst.projected()
     check_exp_limit("softmax argument bound", softmax_arg_bound(q, k1, k2))
-    h = col_kron(v1, v2)
-    keys_t = np.ascontiguousarray(col_kron(k1, k2).T)
-    q = q / inst.d
-    b = _block_rows(n)
-
-    def blocks():
-        buf = np.empty((b, n * n))
-        for lo in range(0, n, b):
-            rows = slice(lo, min(lo + b, n))
-            f = buf[:rows.stop - lo]
-            np.matmul(q[rows], keys_t, out=f)
-            _softmax_rows(f)
-            yield rows, f, f @ h
-
-    return h, blocks()
+    d1 = d + 1  # columns of [1 | M]
+    aug = np.empty((4, n, d1))  # V2', A3', V1', A2'
+    aug[:, :, 0] = 1.0
+    aug[:, :, 1:] = (v2, inst.A3, v1, inst.A2)
+    over_l = (aug[0, :, :, None] * aug[1, :, None, :]).reshape(n, d1 * d1)  # (l, (b, f))
+    over_j = (aug[2, :, :, None] * aug[3, :, None, :]).transpose(1, 2, 0)  # (b, e, j)
+    k2_t = k2.T / d
+    block = _block_rows(n)
+    w_buf = np.empty((block * n, n))
+    s1_buf = np.empty((block * n, d1 * d1))
+    t = np.empty((n, d1, d1, d1))
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        m = (rows.stop - lo) * n
+        w, s1 = w_buf[:m], s1_buf[:m]
+        _matmul_rows((q[rows, None, :] * k1).reshape(m, d), k2_t, w)
+        flat = w.reshape(-1, n * n)
+        flat -= flat.max(axis=1, keepdims=True)
+        np.exp(flat, out=flat)
+        _matmul_rows(w, over_l, s1)
+        np.matmul(over_j, s1.reshape(-1, n, d1, d1).transpose(0, 2, 1, 3), out=t[rows])
+    return t[:, 1:, 0, 0] / t[:, :1, 0, 0], t
 
 
 def forward(inst):
     """Attention output F @ H, shape n x d."""
-    _, blocks = _row_blocks(inst)
-    out = np.empty((inst.n, inst.d))
-    for rows, _, y in blocks:
-        out[rows] = y
-    return out
+    return _moments(inst)[0]
 
 
 def loss(inst):
@@ -169,7 +196,7 @@ class ExactIntermediates:
     row's softmax Jacobian to the matching row of W: P = (W - r) * F with
     r the row-wise dot product of F and W.  This is the dense
     specification: F, W and P are each a whole n x n^2 buffer here, while
-    ``grad_exact`` forms them one row block at a time.
+    ``grad_exact`` forms none of them.
     """
 
     F: np.ndarray
@@ -192,27 +219,23 @@ def compute_intermediates(inst):
 def grad_exact(inst):
     """Closed-form loss gradient w.r.t. the composite X, shape d x d^2.
 
-    Computed as ``(A1.T @ P) @ kron(A2, A3) / d`` over the row blocks of
-    ``_row_blocks``: each block's W_J = (Y_J - E_J) @ H.T is formed in a
-    second block buffer and turned in place into P_J = (W_J - r_J) * F_J,
-    and A1_J.T @ P_J is summed into a d x n^2 accumulator.  One GEMM with
-    the n^2 x d^2 Kronecker factor (512 KiB at n=128, d=2) finishes it.
+    Specified as ``(A1.T @ P) @ kron(A2, A3) / d`` with P = (W - r) * F,
+    W = U2 @ H.T, U2 = Y - E and r = <Y, U2> per row.  Row j0 of P summed
+    against the Kronecker columns over the key pairs (j, l) is
+    (sum_b U2_b T[b, 1:, 1:] - r T[0, 1:, 1:]) / total in the moments T of
+    ``_moments``, which is sum_b U2_b C_b with the centered moments
+    C_b = (T[b, 1:, 1:] - Y_b T[0, 1:, 1:]) / total.  The gradient is one
+    contraction of those rows with A1: W, P, H and kron(A2, A3) are never
+    formed.  At n = 1 the one attention weight is 1 for every X, so the
+    gradient is exactly 0; it is returned as such, after the checks.
     """
-    n = inst.n
-    h, blocks = _row_blocks(inst)
-    h_t = np.ascontiguousarray(h.T)
-    acc = np.zeros((inst.d, n * n))
-    part = np.empty_like(acc)
-    wbuf = np.empty((_block_rows(n), n * n))
-    for rows, f, y in blocks:
-        w = wbuf[:f.shape[0]]
-        y -= inst.E[rows]
-        np.matmul(y, h_t, out=w)
-        w -= np.einsum("ij,ij->i", f, w)[:, None]
-        w *= f
-        np.matmul(inst.A1[rows].T, w, out=part)
-        acc += part
-    return acc @ kron(inst.A2, inst.A3) / inst.d
+    n, d = inst.n, inst.d
+    y, t = _moments(inst)
+    if n == 1:
+        return np.zeros((d, d * d))
+    c = t[:, 1:, 1:, 1:] - y[:, :, None, None] * t[:, :1, 1:, 1:]  # (j0, b, e, f)
+    z = ((y - inst.E) / t[:, :1, 0, 0])[:, :, None] * inst.A1[:, None, :]  # (j0, b, a)
+    return z.reshape(-1, d).T @ c.reshape(-1, d * d) / d
 
 
 def grad_fd(inst, step):

@@ -90,9 +90,14 @@ _F2_POINTS = 101  # grid on [0, 1] over which max |f''| is taken
 Curve = namedtuple("Curve", "f fp h")
 
 
-def _probe_block(hi, lam_max):
-    """Lambdas per hard_probe_rows call, once ``lam_max`` * Ba is within the exp limit."""
-    check_exp_limit("lambda * Ba =", float(lam_max) * hi.Ba)
+def _probe_block(hi, lam_abs):
+    """Lambdas per hard_probe_rows call, once ``lam_abs`` * Ba is within the exp limit.
+
+    ``lam_abs`` is the largest |lambda| of the grid: a large negative lambda
+    underflows every exp(lambda * H) to 0 as surely as a large positive one
+    overflows it.
+    """
+    check_exp_limit("lambda * Ba =", float(lam_abs) * hi.Ba)
     return block_len(hi.H.size)
 
 
@@ -101,13 +106,13 @@ def curve(hi, lams):
 
     f' comes from the per-row quotient rule, g'/h - (g/h)(h'/h), which forms
     no product of two row sums.  The exp limit is checked once, on the
-    largest lambda (a nan fails it) before the kernel runs, which gets
+    largest |lambda| (a nan fails it) before the kernel runs, which gets
     blocks of ``exact.block_len(n^3)`` lambdas.  A row sum that overflows
     (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8) raises
     ``NumericalError`` instead of returning a nan.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    block = _probe_block(hi, lams.max())
+    block = _probe_block(hi, np.abs(lams).max())
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
                                for i in range(0, lams.size, block)])

@@ -96,7 +96,7 @@ def _series_weight(denom, alpha):
         return math.exp(-sum(math.lgamma(a + 1) for a in alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialBasis:
     """All exponent vectors of total degree <= g over d variables.
 
@@ -124,6 +124,9 @@ class MonomialBasis:
 
     The constructor takes d and g only: every array is derived from them,
     and passing one raises ``TypeError``.  All arrays are read-only.
+    Equality and hashing are by identity (``eq=False``): generated ones
+    would compare the arrays, and numpy arrays neither compare to one bool
+    nor hash.  ``build_basis`` hands out one shared basis per (d, g).
     """
 
     d: int

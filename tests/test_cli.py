@@ -185,6 +185,7 @@ def test_bench_csv_schema(tmp_path):
         assert row[9] == "3"
         assert 0 < float(row[10]) <= float(row[7])  # min <= median
         assert float(row[11]) >= 0.0
+        assert row[12] == ""  # ns per n^3 is for the cubic engine only
 
     rc = cli.main(["bench", "--n-list", "4", "--engine", "exact",
                    "--repeats", "1", "--csv", str(out)])
@@ -193,6 +194,7 @@ def test_bench_csv_schema(tmp_path):
     assert rows[1][3] == "" and rows[1][4] == "" and rows[1][5] == ""
     assert rows[1][6] == "exact" and rows[1][8] == ""
     assert 0 < float(rows[1][10]) <= float(rows[1][7]) and float(rows[1][11]) >= 0.0
+    assert float(rows[1][12]) == pytest.approx(float(rows[1][7]) / 4 ** 3 * 1e9, rel=1e-12)
 
 
 def test_bench_bad_nlist():

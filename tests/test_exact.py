@@ -136,16 +136,31 @@ def test_grad_finite_without_warning_at_exp_limit():
     assert np.isfinite(g).all()
 
 
-@pytest.mark.parametrize("n", [64, 128, 192])
+def _one_block_bound(n, d):
+    # one block of weights (at most _BLOCK_ENTRIES doubles), that block's
+    # stage-1 output and scaled queries (b*n rows of (d+1)^2 + d), terms
+    # linear in n (the (d+1)^3 moments per row and the operands) and one
+    # 64 KiB numpy iterator buffer: no n^2 or n^2 d^2 term
+    e = d + 1
+    rows = exact._block_rows(n) * n
+    return 8 * (exact._BLOCK_ENTRIES + rows * (e * e + d) + 8 * n * e ** 3) + (64 << 10)
+
+
+@pytest.mark.parametrize("n", [64, 128, 192, 256])
 def test_grad_exact_peak_is_two_row_blocks(n, traced_peak):
-    # one block of F and one of P, each at most _BLOCK_ENTRIES doubles, plus
-    # O(n^2 d^2) operands (H, the keys, the accumulator, kron(A2, A3)); the
-    # three whole n x n^2 buffers held before took 6.4 MB at n=64
-    d = 2
-    inst = _instance(n, d, 1, bound=0.8)
-    _, peak = traced_peak(lambda: tk.grad_exact(inst))
-    blocks = 2 * 8 * exact._BLOCK_ENTRIES
-    assert peak < blocks + 5 * 8 * n * n * d * d, (peak - blocks) / (8 * n * n * d * d)
+    # the id is kept from when the gradient held two blocks; it holds one
+    for d in (2, 3):
+        inst = _instance(n, d, 1, bound=0.8)
+        _, peak = traced_peak(lambda: tk.grad_exact(inst))
+        assert peak < _one_block_bound(n, d), (d, peak)
+
+
+@pytest.mark.parametrize("n", [64, 128, 192, 256])
+def test_forward_peak_is_one_weight_block(n, traced_peak):
+    for d in (2, 3):
+        inst = _instance(n, d, 1, bound=0.8)
+        _, peak = traced_peak(lambda: tk.forward(inst))
+        assert peak < _one_block_bound(n, d), (d, peak)
 
 
 def _dense_grad(inst):
@@ -161,7 +176,7 @@ def _dense_grad(inst):
 BLOCKINGS = [(1, None), (2, None), (131, None), (13, 3 * 169), (6, 36), (5, 7)]
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n, entries", BLOCKINGS)
 def test_row_blocks_match_dense_spec(n, entries, d, monkeypatch):
     if entries is not None:

@@ -163,6 +163,17 @@ def test_overflow_guard(monkeypatch):
         tk.avg_estimate(tk.make_hard_instance(2, 1, 800.0, 0), 100)
 
 
+def test_negative_lambda_fails_the_exp_limit():
+    # -400 * Ba = -800 underflows every exp(lambda * H) to 0; the exp limit
+    # on |lambda| * Ba names that, where the kernel's h = 0 read as "a row
+    # sum overflowed"
+    hi = tk.make_hard_instance(2, 1, 2.0, 0)
+    for lams in ([-400.0], [0.5, -400.0]):
+        with pytest.raises(NumericalError, match="lambda \\* Ba = 800 exceeds exp limit"):
+            hardness.curve(hi, lams)
+    assert np.isfinite(hardness.curve(hi, [-100.0]).f).all()
+
+
 def test_nan_lambda_fails_the_exp_limit_before_the_kernel(monkeypatch):
     # lambda * Ba > limit was false for a nan lambda: the kernel ran and the
     # curve then failed as "a row sum overflowed"

@@ -131,6 +131,17 @@ def test_basis_parent_recurrence_and_cache():
             assert not a.flags.writeable
 
 
+def test_basis_compares_and_hashes_by_identity():
+    # the generated __eq__ and __hash__ covered the arrays: == raised numpy's
+    # ambiguous-truth ValueError and hash raised TypeError
+    a, b = tk.MonomialBasis(2, 2), tk.MonomialBasis(2, 2)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    for d, g in ((1, 3), (2, 2), (3, 5)):
+        assert tk.build_basis(d, g) is tk.build_basis(d, g)
+        assert tk.build_basis(d, g) == tk.build_basis(d, g)
+
+
 def test_basis_blocks_reproduce_recurrence():
     # each (degree, first variable) run is a contiguous slice that is a
     # contiguous slice of the previous degree times one variable; together
