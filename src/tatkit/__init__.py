@@ -3,8 +3,10 @@
 Two interchangeable gradient engines for the Kronecker-structured attention
 loss: an exact dense cubic engine and an almost-linear low-rank engine built
 on truncated-series feature maps, plus hard-instance probes and a CLI for
-generation, verification, and scaling benchmarks.  Both engines are built
-from three Kronecker-family products: ``kron``, ``col_kron`` and ``row_kron``.
+generation, verification, and scaling benchmarks.  The three
+Kronecker-family products ``kron``, ``col_kron`` and ``row_kron`` write out
+the specification both engines are tested against (the dense intermediates
+and the factor builders); neither engine calls them.
 """
 
 from .errors import NumericalError, TatError, ToleranceError, ValidationError

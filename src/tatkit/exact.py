@@ -2,19 +2,22 @@
 
 Every softmax argument is computed, so the engine is cubic in n and guarded
 by a sequence cap.  It serves as the ground-truth oracle for the low-rank
-engine.  ``forward``, ``loss`` and ``grad_exact`` share one kernel,
-``_moments``.  It runs the cap and exp-limit checks once per call, then
-forms the unnormalized attention weights of b = ``block_len(n^2)`` query
-rows at a time and reads each block once, by two Kronecker contractions
-(over l, then over j) against [1 | V] and [1 | A] operands.  Per query row
-it keeps a (d+1)^3 moment tensor, from which the forward row and the
-gradient row are read, so the forward rows of ``forward`` and
-``grad_exact`` are the same bits.  No n x n^2 matrix exists besides one
-block of weights.  ``attention_weights`` and ``compute_intermediates``
-materialize F, W and P through ``_scores`` as the specification the tests
-read.  H is always ``col_kron(V1, V2)`` of the projections.  Every dense
-stream, the hard-curve probe included, takes its exp-limit test
-(``check_exp_limit``) and its scratch budget (``block_len``) from here.
+engine.  Every path is admitted once per call by ``_admit``: the cap check
+and one exp-limit check of the softmax-argument row bound.  ``forward``,
+``loss`` and ``grad_exact`` share one kernel, ``_moments``.  It forms the
+unnormalized attention weights of b = ``block_len(n^2)`` query rows at a
+time and reads each block once, by two Kronecker contractions (over l, then
+over j) against [1 | V] and [1 | A] operands.  Per query row it keeps a
+(d+1)^3 moment tensor, from which the forward row and the gradient row are
+read, so the forward rows of ``forward`` and ``grad_exact`` are the same
+bits.  No n x n^2 matrix exists besides one block of weights.
+``attention_weights`` and ``compute_intermediates`` materialize F, W and P
+through ``_scores`` as the specification the tests read.  ``grad_fd``
+shifts that one score matrix into all 2 d^3 perturbed ones as a single
+batch, and adds one exp-limit check of the batch.  H is always
+``col_kron(V1, V2)`` of the projections.  Every dense stream, the hard-curve
+probe included, takes its exp-limit test (``check_exp_limit``) and its
+scratch budget (``block_len``) from here.
 """
 
 import math
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .lowrank import softmax_arg_bound
-from .tensorops import col_kron, kron
+from .tensorops import col_kron
 
 DEFAULT_EXACT_CAP = 256
 EXP_ARG_LIMIT = 700.0
@@ -74,32 +77,25 @@ def block_len(item_entries):
     return max(1, _BLOCK_ENTRIES // item_entries)
 
 
-def _scores(inst, x=None, a23=None):
-    """The n x n^2 softmax arguments, after the cap and exp-limit checks.
-
-    By default they come from the projections, ``(Q / d) @ col_kron(K1, K2).T``,
-    checked against the a-priori row bound.  A composite ``x`` (d x d^2)
-    replaces the one derived from X1, X2, X3; those scores are checked
-    against their realised maximum.  ``a23`` is ``kron(A2, A3)``, built here
-    when not given.
-    """
+def _admit(inst):
+    """The projections (Q, K1, K2, V1, V2), after the cap and exp-limit checks."""
     _check_cap(inst.n)
-    if x is None:
-        q, k1, k2, _, _ = inst.projected()
-        check_exp_limit("softmax argument bound", softmax_arg_bound(q, k1, k2))
-        return (q / inst.d) @ col_kron(k1, k2).T
-    if a23 is None:
-        a23 = kron(inst.A2, inst.A3)
-    scores = (inst.A1 @ x) @ a23.T / inst.d
-    check_exp_limit("softmax argument max", float(np.abs(scores).max()))
-    return scores
+    proj = inst.projected()
+    check_exp_limit("softmax argument bound", softmax_arg_bound(*proj[:3]))
+    return proj
+
+
+def _scores(inst):
+    """The n x n^2 softmax arguments ``(Q / d) @ col_kron(K1, K2).T``, admitted."""
+    q, k1, k2, _, _ = _admit(inst)
+    return (q / inst.d) @ col_kron(k1, k2).T
 
 
 def _softmax_rows(scores):
-    """Row softmax of a ``_scores`` buffer, in place: F."""
-    scores -= scores.max(axis=1)[:, None]
+    """Softmax over the last axis of a ``_scores`` buffer or a stack of them, in place: F."""
+    scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores *= 1.0 / scores.sum(axis=1)[:, None]
+    scores *= 1.0 / scores.sum(axis=-1, keepdims=True)
     return scores
 
 
@@ -134,8 +130,8 @@ def _moments(inst):
         T[j0, b, e, f] = sum_{j,l} w[j0, (j, l)] V1'[j, b] V2'[l, b] A2'[j, e] A3'[l, f],
 
     so T[j0, 0, 0, 0] is the row total, Y_j0 = T[j0, 1:, 0, 0] / total and
-    T[j0, :, 1:, 1:] is what the gradient contracts.  The cap and exp-limit
-    checks run once, here, before anything n^2-sized is built.  Each block
+    T[j0, :, 1:, 1:] is what the gradient contracts.  ``_admit`` runs once,
+    here, before anything n^2-sized is built.  Each block
     of ``_block_rows(n)`` query rows J forms its weights in one |J|*n x n
     buffer, from the scores (Q_J * K1) @ K2.T / d, and reads them once:
     stage 1 contracts l, w @ row_kron(V2', A3') with an n x (d+1)^2
@@ -143,9 +139,7 @@ def _moments(inst):
     batched over (j0, b).  Nothing else is of size n^2.
     """
     n, d = inst.n, inst.d
-    _check_cap(n)
-    q, k1, k2, v1, v2 = inst.projected()
-    check_exp_limit("softmax argument bound", softmax_arg_bound(q, k1, k2))
+    q, k1, k2, v1, v2 = _admit(inst)
     d1 = d + 1  # columns of [1 | M]
     aug = np.empty((4, n, d1))  # V2', A3', V1', A2'
     aug[:, :, 0] = 1.0
@@ -178,12 +172,6 @@ def forward(inst):
 def loss(inst):
     """0.5 * squared Frobenius distance between the forward pass and E."""
     r = forward(inst) - inst.E
-    return 0.5 * float((r * r).sum())
-
-
-def _loss_given_x(inst, x, a23, h):
-    # a23 = kron(A2, A3) and h = col_kron(V1, V2) do not depend on x
-    r = _softmax_rows(_scores(inst, x, a23)) @ h - inst.E
     return 0.5 * float((r * r).sum())
 
 
@@ -241,8 +229,13 @@ def grad_exact(inst):
 def grad_fd(inst, step):
     """Central-difference gradient w.r.t. the composite X (slow oracle).
 
-    Requires d*d^2 paired loss evaluations, so the instance must be tiny:
-    n <= 8 and d <= 4.
+    The scores are A1 X kron(A2, A3)^T / d, linear in X, so moving X[a, (b, c)]
+    by +-step moves score (i, (j, l)) by +-step A1[i, a] A2[j, b] A3[l, c] / d.
+    All 2 d^3 perturbed score matrices are one 2 x d^3 x n x n^2 batch: those
+    shifts, added to ``_scores`` once.  Admission is ``grad_exact``'s (the cap
+    and the row bound, in ``_scores``) plus one exp-limit check of the
+    batch's largest |score|; a nan fails it.  The caps n <= 8 and d <= 4 keep
+    the batch at or below 2 * 4^3 * 8^3 entries, half a scratch block.
     """
     if not 0 < step < math.inf:  # a nan fails too
         raise ValidationError(f"step must be positive and finite, got {step}")
@@ -251,18 +244,15 @@ def grad_fd(inst, step):
             f"finite differences capped at n <= {FD_N_CAP}, d <= {FD_D_CAP} "
             f"(got n={inst.n}, d={inst.d})"
         )
-    d = inst.d
-    x0 = inst.composite_x()
-    a23 = kron(inst.A2, inst.A3)
-    h = col_kron(*inst.projected()[3:])
-    g = np.empty((d, d * d))
-    for i in range(d):
-        for j in range(d * d):
-            xp = x0.copy()
-            xp[i, j] += step
-            lp = _loss_given_x(inst, xp, a23, h)
-            xm = x0.copy()
-            xm[i, j] -= step
-            lm = _loss_given_x(inst, xm, a23, h)
-            g[i, j] = (lp - lm) / (2.0 * step)
-    return g
+    n, d = inst.n, inst.d
+    scores = _scores(inst)
+    z = np.empty((2, d, d, d, n, n, n))  # (sign, a, b, c, i, j, l)
+    np.einsum("ia,jb,lc->abcijl", inst.A1, inst.A2, inst.A3 * (step / d), out=z[0])
+    np.negative(z[0], out=z[1])
+    z = z.reshape(2, d ** 3, n, n * n)
+    z += scores
+    check_exp_limit("softmax argument max", np.maximum(z.max(), -z.min()))
+    r = _softmax_rows(z) @ col_kron(*inst.projected()[3:]) - inst.E
+    r *= r
+    losses = 0.5 * r.reshape(2, d ** 3, n * d).sum(axis=-1)
+    return ((losses[0] - losses[1]) / (2.0 * step)).reshape(d, d * d)

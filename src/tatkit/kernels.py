@@ -1,9 +1,10 @@
 """Hot numeric kernels, in numpy.
 
-Three row-wise kernels that the engines call by name: the monomial feature
-rows of the polynomial method, the bilinear form ``U[j] @ G @ V[j]`` per row,
-and the per-row sums of the hard-instance curve.  Each is a few whole-array
-operations with no Python loop over rows.
+Three row-wise kernels, each called by name: the monomial feature rows of
+the polynomial method (the fast engine's feature map), the bilinear form
+``U[j] @ G @ V[j]`` per row (only the specification builder
+``build_Pb_factors``) and the per-row sums of the hard-instance curve (the
+probe).  Each is a few whole-array operations with no Python loop over rows.
 """
 
 import numpy as np

@@ -23,8 +23,11 @@ def _with_target(inst, e):
 
 
 def _weights_at(inst, x):
-    # F with a composite x in place of the one derived from X1, X2, X3
-    return exact._softmax_rows(exact._scores(inst, x))
+    # F with a composite x in place of the one derived from X1, X2, X3,
+    # from the specification's formula and not from exact._scores
+    scores = (inst.A1 @ x) @ tk.kron(inst.A2, inst.A3).T / inst.d
+    exact.check_exp_limit("softmax argument max", float(np.abs(scores).max()))
+    return exact._softmax_rows(scores)
 
 
 def _column_instance(n=2, d=1):
@@ -238,8 +241,8 @@ def test_grad_fd_noise_floor_and_convergence():
 
 
 def test_grad_fd_matches_loss_loop():
-    # reference: every loss evaluation rebuilds its constants through
-    # _scores; grad_fd must agree bit for bit
+    # reference: one loss evaluation per perturbed x, each rebuilding its
+    # scores from x; grad_fd must agree bit for bit
     step = 1e-5
     for d in (1, 2, 3):
         inst = _instance(6, d, 20 + d, bound=0.8)
@@ -258,6 +261,33 @@ def test_grad_fd_matches_loss_loop():
                 xm[i, j] -= step
                 want[i, j] = (loss_at(xp) - loss_at(xm)) / (2.0 * step)
         assert np.array_equal(tk.grad_fd(inst, step), want), d
+
+
+def test_grad_fd_scores_once(monkeypatch):
+    # the 2 d^3 perturbed score matrices are shifts of one _scores call
+    calls = []
+    scores = exact._scores
+    monkeypatch.setattr(exact, "_scores", lambda *a: calls.append(1) or scores(*a))
+    tk.grad_fd(_instance(3, 2, 0), 1e-5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, d", [(8, 1), (8, 4), (1, 4), (5, 3)])
+def test_grad_fd_at_the_caps(n, d):
+    inst = _instance(n, d, 40 + n + d)
+    g = tk.grad_exact(inst)
+    fd = tk.grad_fd(inst, 1e-5)
+    assert np.abs(fd - g).max() <= 1e-8 * max(1.0, np.abs(g).max())
+
+
+def test_grad_fd_peak_within_one_block(traced_peak):
+    # the perturbed batch is at most half a scratch block; the bound is one
+    # block's bytes plus one 64 KiB numpy iterator buffer
+    inst = _instance(exact.FD_N_CAP, exact.FD_D_CAP, 6)
+    _, peak = traced_peak(lambda: tk.grad_fd(inst, 1e-5))
+    assert peak <= 8 * exact._BLOCK_ENTRIES + (64 << 10), peak
+    with pytest.raises(NumericalError, match="softmax argument max"):
+        tk.grad_fd(inst, 1e4)
 
 
 def test_grad_fd_caps():
@@ -345,7 +375,7 @@ def test_exp_guard_uses_row_bound():
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
         tk.forward(nan_bound)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
-        _weights_at(nan_bound, 1e200 * eye)
+        tk.grad_fd(nan_bound, 1e-5)
 
 
 def test_instance_validation():
