@@ -4,10 +4,17 @@ Subcommands: gen, grad, check, bench, probe.  Machine output (instance
 files, matrix text, CSV) goes to stdout or the requested output file; every
 diagnostic goes to stderr.  Exit codes: 0 success, 1 validation error,
 2 tolerance or numerical failure, 3 I/O error.
+
+The argument parser is built once per process, at the first ``main`` call,
+and every later call shares it: ``parse_args`` returns a fresh namespace and
+never mutates the parser, and usage errors and help look up the output
+stream and the terminal width when they run.  It is not built at import, so
+``import tatkit.cli`` does not pay the build.
 """
 
 import argparse
 import csv
+import functools
 import io
 import statistics
 import sys
@@ -37,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
-    p = _Parser(prog="tat", description=__doc__)
+    """The ``tat`` parser, built at the first call and shared afterwards; never mutate it."""
+    # the docstring's last paragraph is about this module, not the commands
+    p = _Parser(prog="tat", description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a random instance file")
@@ -116,7 +126,7 @@ def _cmd_check(args):
     diff = float(np.abs(g_fast - g_ref).max())
     print(f"check: engines |g_fast - g_exact|_inf = {diff:.6e} (tol {args.tol:g})",
           file=sys.stderr)
-    if diff > args.tol:
+    if not diff <= args.tol:  # a nan fails too
         raise ToleranceError(
             f"engine disagreement {diff:.6e} exceeds tol {args.tol:g}"
         )
@@ -125,7 +135,7 @@ def _cmd_check(args):
         rel = float(np.abs(g_ref - g_fd).max()) / max(1.0, float(np.abs(g_ref).max()))
         print(f"check: finite differences relative error = {rel:.6e} "
               f"(gate {FD_REL_GATE:g})", file=sys.stderr)
-        if rel > FD_REL_GATE:
+        if not rel <= FD_REL_GATE:
             raise ToleranceError(
                 f"finite-difference disagreement {rel:.6e} exceeds {FD_REL_GATE:g}"
             )
@@ -239,9 +249,13 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    """Run one ``tat`` command; return its exit code.
+
+    The parser is built by the process's first call and reused by every
+    later one, so in-process callers pay its construction once.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as e:
         print(f"tat: error: {e}", file=sys.stderr)
         return 1

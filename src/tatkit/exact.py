@@ -15,9 +15,10 @@ bits.  No n x n^2 matrix exists besides one block of weights.
 through ``_scores`` as the specification the tests read.  ``grad_fd``
 shifts that one score matrix into all 2 d^3 perturbed ones as a single
 batch, and adds one exp-limit check of the batch.  H is always
-``col_kron(V1, V2)`` of the projections.  Every dense stream, the hard-curve
-probe included, takes its exp-limit test (``check_exp_limit``) and its
-scratch budget (``block_len``) from here.
+``col_kron(V1, V2)`` of the projections ``_admit`` returned, so each call
+projects once.  Every dense stream, the hard-curve probe included, takes
+its exp-limit test (``check_exp_limit``) and its scratch budget
+(``block_len``) from here.
 """
 
 import math
@@ -85,9 +86,13 @@ def _admit(inst):
     return proj
 
 
-def _scores(inst):
-    """The n x n^2 softmax arguments ``(Q / d) @ col_kron(K1, K2).T``, admitted."""
-    q, k1, k2, _, _ = _admit(inst)
+def _scores(inst, proj=None):
+    """The n x n^2 softmax arguments ``(Q / d) @ col_kron(K1, K2).T``, admitted.
+
+    A caller that needs the values too passes the projections it took from
+    ``_admit(inst)``; otherwise they are admitted here.
+    """
+    q, k1, k2, _, _ = _admit(inst) if proj is None else proj
     return (q / inst.d) @ col_kron(k1, k2).T
 
 
@@ -195,8 +200,9 @@ class ExactIntermediates:
 
 
 def compute_intermediates(inst):
-    f = _softmax_rows(_scores(inst))
-    h = col_kron(*inst.projected()[3:])
+    proj = _admit(inst)
+    f = _softmax_rows(_scores(inst, proj))
+    h = col_kron(*proj[3:])
     vres = f @ h - inst.E
     w = vres @ h.T
     p = w - np.einsum("ij,ij->i", f, w)[:, None]
@@ -215,7 +221,8 @@ def grad_exact(inst):
     C_b = (T[b, 1:, 1:] - Y_b T[0, 1:, 1:]) / total.  The gradient is one
     contraction of those rows with A1: W, P, H and kron(A2, A3) are never
     formed.  At n = 1 the one attention weight is 1 for every X, so the
-    gradient is exactly 0; it is returned as such, after the checks.
+    gradient is exactly 0; it is returned as such, after the checks.  A
+    gradient whose last contraction overflows raises ``NumericalError``.
     """
     n, d = inst.n, inst.d
     y, t = _moments(inst)
@@ -223,7 +230,11 @@ def grad_exact(inst):
         return np.zeros((d, d * d))
     c = t[:, 1:, 1:, 1:] - y[:, :, None, None] * t[:, :1, 1:, 1:]  # (j0, b, e, f)
     z = ((y - inst.E) / t[:, :1, 0, 0])[:, :, None] * inst.A1[:, None, :]  # (j0, b, a)
-    return z.reshape(-1, d).T @ c.reshape(-1, d * d) / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = z.reshape(-1, d).T @ c.reshape(-1, d * d) / d
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite gradient: the last contraction overflowed")
+    return g
 
 
 def grad_fd(inst, step):
@@ -233,9 +244,10 @@ def grad_fd(inst, step):
     by +-step moves score (i, (j, l)) by +-step A1[i, a] A2[j, b] A3[l, c] / d.
     All 2 d^3 perturbed score matrices are one 2 x d^3 x n x n^2 batch: those
     shifts, added to ``_scores`` once.  Admission is ``grad_exact``'s (the cap
-    and the row bound, in ``_scores``) plus one exp-limit check of the
-    batch's largest |score|; a nan fails it.  The caps n <= 8 and d <= 4 keep
-    the batch at or below 2 * 4^3 * 8^3 entries, half a scratch block.
+    and the row bound, in ``_admit``, whose projections also give H) plus
+    one exp-limit check of the batch's largest |score|; a nan fails it.  The
+    caps n <= 8 and d <= 4 keep the batch at or below 2 * 4^3 * 8^3 entries,
+    half a scratch block.
     """
     if not 0 < step < math.inf:  # a nan fails too
         raise ValidationError(f"step must be positive and finite, got {step}")
@@ -245,14 +257,15 @@ def grad_fd(inst, step):
             f"(got n={inst.n}, d={inst.d})"
         )
     n, d = inst.n, inst.d
-    scores = _scores(inst)
+    proj = _admit(inst)
+    scores = _scores(inst, proj)
     z = np.empty((2, d, d, d, n, n, n))  # (sign, a, b, c, i, j, l)
     np.einsum("ia,jb,lc->abcijl", inst.A1, inst.A2, inst.A3 * (step / d), out=z[0])
     np.negative(z[0], out=z[1])
     z = z.reshape(2, d ** 3, n, n * n)
     z += scores
     check_exp_limit("softmax argument max", np.maximum(z.max(), -z.min()))
-    r = _softmax_rows(z) @ col_kron(*inst.projected()[3:]) - inst.E
+    r = _softmax_rows(z) @ col_kron(*proj[3:]) - inst.E
     r *= r
     losses = 0.5 * r.reshape(2, d ** 3, n * d).sum(axis=-1)
     return ((losses[0] - losses[1]) / (2.0 * step)).reshape(d, d * d)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, lowrank
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
     RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max, f_degree,
     softmax_arg_bound,
@@ -171,7 +171,8 @@ def grad_fast(inst, eps):
     ``RANK_CAP`` is rejected with ``ValidationError`` before any factor is
     allocated.  The stages are those of the module docstring; the result
     matches the explicit factor builders within rounding.  A nonpositive or
-    non-finite row normalizer raises ``NumericalError``.
+    non-finite row normalizer raises ``NumericalError``, and so does a
+    gradient whose last contraction overflows.
     """
     if eps >= 1:
         raise ValidationError(f"eps must be below 1, got {eps}")
@@ -266,7 +267,10 @@ def grad_fast(inst, eps):
     # The Pa columns k run over (W column, F column) pairs, the reverse
     # of build_Pa_factors' order; the sum does not see the order.
     g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
-    g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
+    if not np.isfinite(g_tilde).all():
+        raise NumericalError("non-finite gradient: the last contraction overflowed")
     timings["assemble"] = time.perf_counter() - t
 
     eps_target = _error_budget(inst, eps_f, u2_t.T, v2, w2)

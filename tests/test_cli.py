@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import cli, fileio, hardness
+from tatkit import cli, exact, fastgrad, fileio, hardness
 from tatkit.errors import ValidationError
 
 
@@ -158,6 +163,41 @@ def test_check_rejects_negative_tol(tmp_path, capsys):
     path = _gen(tmp_path)
     assert cli.main(["check", "--in", str(path), "--tol", "-1"]) == 1
     assert "validation error: --tol" in capsys.readouterr().err
+
+
+def _overflow_file(tmp_path):
+    # projections and R stay small, but each engine's last contraction
+    # (A1 against the A2 (x) A3 moments) overflows: exact gave inf, fast nan
+    inst = tk.random_instance(9, 2, 0.8, 0)
+    big = {k: getattr(inst, k) * 1e105 for k in ("A1", "A2", "A3")}
+    small = {k: getattr(inst, k) * 1e-105 for k in ("X1", "X2", "X3")}
+    path = tmp_path / "overflow.tat"
+    path.write_text(fileio.format_instance(dataclasses.replace(inst, **big, **small)))
+    return path
+
+
+def test_check_rejects_overflowed_gradients(tmp_path, capsys):
+    # |g_fast - g_exact| was nan, which passed the tol gate: "check: OK", exit 0
+    path = _overflow_file(tmp_path)
+    assert cli.main(["check", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "check: OK" not in err and "non-finite gradient" in err
+
+
+@pytest.mark.parametrize("engine", ["exact", "fast"])
+def test_grad_rejects_overflowed_gradient(tmp_path, capsys, engine):
+    path = _overflow_file(tmp_path)
+    assert cli.main(["grad", "--in", str(path), "--engine", engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite gradient" in captured.err
+
+
+def test_check_rejects_nan_finite_differences(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path)
+    monkeypatch.setattr(exact, "grad_fd", lambda inst, step: np.full((2, 4), np.nan))
+    assert cli.main(["check", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "check: OK" not in err and "finite-difference disagreement" in err
 
 
 def test_check_machine_output_stays_clean(tmp_path, capsys):
@@ -332,3 +372,59 @@ def test_grad_out_file(tmp_path):
     rows = out.read_text().strip().split("\n")
     assert len(rows) == 2 and len(rows[0].split()) == 4
 
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # every main call built the 6-parser tree again, over a millisecond
+    path = _gen(tmp_path, n=4)
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    argv = ["grad", "--in", str(path), "--engine", "exact", "--out", str(tmp_path / "g")]
+    assert cli.main(argv) == 0
+    built.clear()
+    assert cli.main(argv) == 0
+    assert built == []
+
+
+def test_shared_parser_carries_no_state(tmp_path, capsys):
+    path = _gen(tmp_path)
+    assert cli.main(["check"]) == 1  # missing --in
+    assert cli.main(["check", "--in", str(path), "--tol", "1e-300"]) == 2
+    capsys.readouterr()
+    assert cli.main(["check", "--in", str(path)]) == 0
+    assert "(tol 1e-06)" in capsys.readouterr().err
+
+
+def test_shared_parser_restores_defaults(tmp_path, monkeypatch):
+    path = _gen(tmp_path, n=4)
+    eps_seen = []
+    grad_fast = fastgrad.grad_fast
+    monkeypatch.setattr(fastgrad, "grad_fast",
+                        lambda inst, eps: eps_seen.append(eps) or grad_fast(inst, eps))
+    argv = ["grad", "--in", str(path), "--engine", "fast", "--out", str(tmp_path / "g")]
+    assert cli.main(argv + ["--eps", "1e-3"]) == 0
+    assert cli.main(argv) == 0
+    assert eps_seen == [1e-3, 1e-8]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: tat", *argv[:-1]]) + " ")
+
+
+def test_import_builds_no_parser():
+    # built at import, the parser would cost every importer over a millisecond
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)\n"
+        "import tatkit.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout == "0\n"

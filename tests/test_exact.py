@@ -272,6 +272,19 @@ def test_grad_fd_scores_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fn", [tk.grad_exact, lambda inst: tk.grad_fd(inst, 1e-5),
+                                tk.compute_intermediates],
+                         ids=["grad_exact", "grad_fd", "compute_intermediates"])
+def test_projects_once(fn, monkeypatch):
+    # grad_fd and compute_intermediates projected again for H = col_kron(V1, V2)
+    calls = []
+    projected = tk.AttnInstance.projected
+    monkeypatch.setattr(tk.AttnInstance, "projected",
+                        lambda self: calls.append(1) or projected(self))
+    fn(_instance(8, 2, 1))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n, d", [(8, 1), (8, 4), (1, 4), (5, 3)])
 def test_grad_fd_at_the_caps(n, d):
     inst = _instance(n, d, 40 + n + d)
