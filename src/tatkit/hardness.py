@@ -95,7 +95,8 @@ def _probe_block(hi, lam_abs):
 
     ``lam_abs`` is the largest |lambda| of the grid: a large negative lambda
     underflows every exp(lambda * H) to 0 as surely as a large positive one
-    overflows it.
+    overflows it.  The ``exact.block_len(n^3)`` lambdas of a block bound the
+    kernel's whole scratch, as it holds one L x n x n^2 buffer.
     """
     check_exp_limit("lambda * Ba =", float(lam_abs) * hi.Ba)
     return block_len(hi.H.size)
@@ -104,14 +105,18 @@ def _probe_block(hi, lam_abs):
 def curve(hi, lams):
     """f, f' (length L) and the row normalizers h (L x n) at each of L ``lams``.
 
+    ``lams`` must be a non-empty 1-D array (``ValidationError`` otherwise).
     f' comes from the per-row quotient rule, g'/h - (g/h)(h'/h), which forms
     no product of two row sums.  The exp limit is checked once, on the
     largest |lambda| (a nan fails it) before the kernel runs, which gets
-    blocks of ``exact.block_len(n^3)`` lambdas.  A row sum that overflows
-    (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8) raises
-    ``NumericalError`` instead of returning a nan.
+    blocks of ``exact.block_len(n^3)`` lambdas: one block is all the scratch
+    a kernel call holds.  A row sum that overflows (h = (sum M_i)^2 does,
+    past lambda * Ba ~ 350 at n=8) raises ``NumericalError`` instead of
+    returning a nan.
     """
     lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValidationError(f"lams must be a non-empty 1-D array, got shape {lams.shape}")
     block = _probe_block(hi, np.abs(lams).max())
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])

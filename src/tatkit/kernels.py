@@ -5,6 +5,8 @@ the polynomial method (the fast engine's feature map), the bilinear form
 ``U[j] @ G @ V[j]`` per row (only the specification builder
 ``build_Pb_factors``) and the per-row sums of the hard-instance curve (the
 probe).  Each is a few whole-array operations with no Python loop over rows.
+The probe kernel's one scratch buffer, L x n x n^2 for a block of L lambdas,
+is updated in place, so the caller's block size bounds all of its scratch.
 """
 
 import numpy as np
@@ -40,14 +42,17 @@ def hard_probe_rows(H, V, lams):
 
     Returns an L x n x 4 array for L values of lambda.  With
     M_i = exp(lam * H[i]): g = ||M_i @ V||^2, h = (sum M_i)^2, and g', h'
-    their derivatives in lam.  Holds two L x n x n^2 buffers.
+    their derivatives in lam.  Holds one L x n x n^2 buffer, updated in
+    place: lam * H, then M, then H o M, each read before the next overwrites
+    it.
     """
-    Mh = np.exp(np.asarray(lams, dtype=np.float64)[:, None, None] * H)
-    HM = H * Mh
-    r = Mh.sum(axis=2)
-    s = HM.sum(axis=2)
-    A = Mh @ V
-    B = HM @ V
+    M = np.asarray(lams, dtype=np.float64)[:, None, None] * H
+    np.exp(M, out=M)
+    r = M.sum(axis=2)
+    A = M @ V
+    M *= H
+    s = M.sum(axis=2)
+    B = M @ V
     out = np.empty(r.shape + (4,))
     out[..., 0] = (A * A).sum(axis=2)
     out[..., 1] = 2.0 * (A * B).sum(axis=2)

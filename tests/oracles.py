@@ -172,3 +172,29 @@ def hard_curve_rowsum(hi, lam):
             g += e[sel].sum() ** 2
         total += g / h
     return total
+
+
+def hard_probe_rows_loops(H, V, lams):
+    """(g, g', h, h') per lambda and row, one exp and one sum term at a time.
+
+    With m_j = exp(lam H[i, j]): a_k = sum_j m_j V[j, k] and
+    b_k = sum_j H[i, j] m_j V[j, k]; g = sum_k a_k^2, g' = 2 sum_k a_k b_k,
+    h = (sum_j m_j)^2 and h' = 2 (sum_j m_j)(sum_j H[i, j] m_j).
+    """
+    n, m = H.shape
+    d = V.shape[1]
+    out = np.zeros((len(lams), n, 4))
+    for li, lam in enumerate(lams):
+        for i in range(n):
+            r = s = 0.0
+            a, b = [0.0] * d, [0.0] * d
+            for j in range(m):
+                e = math.exp(float(lam) * float(H[i, j]))
+                r += e
+                s += float(H[i, j]) * e
+                for k in range(d):
+                    a[k] += e * float(V[j, k])
+                    b[k] += float(H[i, j]) * e * float(V[j, k])
+            out[li, i] = (sum(x * x for x in a), 2.0 * sum(x * y for x, y in zip(a, b)),
+                          r * r, 2.0 * r * s)
+    return out

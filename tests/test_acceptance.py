@@ -107,10 +107,13 @@ def test_criterion_4_lowrank_forward_contract():
              f"{detail}; worst row-sum deviation {worst_rowsum:.2e} <= 1e-12")
 
 
-def _slope(ns, times):
+def _walls_and_slope(rows, column):
+    """{n: wall} from one CSV column of bench rows, and its log-log slope in n."""
+    walls = {n: float(r[column]) for n, r in rows.items()}
+    ns = sorted(walls)
     x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(times, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    y = np.log(np.asarray([walls[n] for n in ns]))
+    return walls, float(np.polyfit(x, y, 1)[0])
 
 
 def _bench_rows(tmp_path, engine, ns, repeats):
@@ -125,20 +128,24 @@ def _bench_rows(tmp_path, engine, ns, repeats):
 
 
 def test_criterion_5_scaling_separation(tmp_path, traced_peak):
+    # slopes are fitted to the min of each row's 5 repeats: on a shared box
+    # the min stayed within ~5% across runs where the median moved by ±30%;
+    # the 60 s bound still reads the median
     t0 = time.perf_counter()
     fast_rows = _bench_rows(tmp_path, "fast", (256, 512, 1024, 2048), repeats=5)
     slow_rows = _bench_rows(tmp_path, "exact", (64, 128, 256), repeats=5)
-    fast = {n: float(r["wall_seconds"]) for n, r in fast_rows.items()}
-    slow = {n: float(r["wall_seconds"]) for n, r in slow_rows.items()}
-    fast_slope = _slope(sorted(fast), [fast[n] for n in sorted(fast)])
-    exact_slope = _slope(sorted(slow), [slow[n] for n in sorted(slow)])
+
+    fast, fast_slope = _walls_and_slope(fast_rows, "wall_min_seconds")
+    slow, exact_slope = _walls_and_slope(slow_rows, "wall_min_seconds")
+    fast_median, fast_median_slope = _walls_and_slope(fast_rows, "wall_seconds")
+    exact_median_slope = _walls_and_slope(slow_rows, "wall_seconds")[1]
 
     n = 1024
     inst = tk.random_instance(n, 2, 0.8, 0)
     _, peak = traced_peak(lambda: tk.grad_fast(inst, 1e-6))
     elapsed = time.perf_counter() - t0
     ok = (fast_slope <= 1.25 and exact_slope >= 2.5
-          and fast[2048] < 60.0 and 0 < peak < n * n * 8)
+          and fast_median[2048] < 60.0 and 0 < peak < n * n * 8)
     walls = "; ".join(
         f"{name} " + ", ".join(f"n={n}: {rows[n] * 1e3:.3g} ms" for n in sorted(rows))
         for name, rows in (("exact", slow), ("fast", fast)))
@@ -146,9 +153,11 @@ def test_criterion_5_scaling_separation(tmp_path, traced_peak):
                       for n, r in sorted(fast_rows.items()))
     _verdict("criterion 5", ok, elapsed, 300.0,
              f"fast slope {fast_slope:.2f} <= 1.25, exact slope "
-             f"{exact_slope:.2f} >= 2.5, fast n=2048 in {fast[2048]:.3f}s < 60s, "
+             f"{exact_slope:.2f} >= 2.5 (min of 5 repeats; of medians: fast "
+             f"{fast_median_slope:.2f}, exact {exact_median_slope:.2f}), "
+             f"fast n=2048 in {fast_median[2048]:.3f}s (median) < 60s, "
              f"traced peak {peak / 1e6:.2f} MB < n^2 * 8 = {n * n * 8 / 1e6:.2f} MB at n={n} "
-             f"[walls: {walls}] [fast ranks: {ranks}]")
+             f"[min walls: {walls}] [fast ranks: {ranks}]")
 
 
 def test_criterion_6_hardness_bounds():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,29 @@ def test_curve_blocks_match_one_batch(monkeypatch):
         assert np.array_equal(a, b)
     assert whole.f[3] == hardness.curve(hi, [float(lams[3])]).f[0]
     assert whole.fp[3] == tk.f_prime(hi, float(lams[3]))
+
+
+def test_curve_scratch_is_one_block(traced_peak):
+    # the kernel held two L x n x n^2 buffers and a transient third: 1.74 MiB
+    # traced over this grid, whose 202 lambdas are one block at n=8
+    hi = tk.make_hard_instance(8, 2, 3.0, 0)
+    lams = np.linspace(0.0, 1.0, hardness._F2_POINTS)
+    grid = np.concatenate([lams + hardness._F2_STEP, lams - hardness._F2_STEP])
+    assert grid.size <= exact.block_len(hi.H.size)
+    _, peak = traced_peak(lambda: hardness.curve(hi, grid))
+    assert peak <= 8 * exact._BLOCK_ENTRIES + (128 << 10)
+
+
+@pytest.mark.parametrize("lams, shape", [([], "(0,)"), ([[0.1, 0.2]], "(1, 2)"),
+                                         (np.float64(0.3), "()")])
+def test_curve_rejects_lams_not_a_nonempty_vector(monkeypatch, lams, shape):
+    # each ended in a bare numpy ValueError or IndexError; the shape is
+    # checked before the exp limit and the kernel
+    hi = tk.make_hard_instance(2, 1, 2.0, 0)
+    monkeypatch.setattr(hardness, "check_exp_limit", None)
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
+    with pytest.raises(ValidationError, match=f"got shape {re.escape(shape)}"):
+        hardness.curve(hi, lams)
 
 
 def test_avg_estimate_streams_its_grid(monkeypatch):

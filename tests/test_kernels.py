@@ -1,7 +1,9 @@
 import numpy as np
 
 import tatkit as tk
-from oracles import feature_rows_gather, feature_rows_loops
+from tatkit import kernels
+
+from oracles import feature_rows_gather, feature_rows_loops, hard_probe_rows_loops
 
 
 def test_feature_rows_matches_oracle():
@@ -40,3 +42,15 @@ def test_feature_map_matches_gather_bit_for_bit():
                 variables[dst:dst + length] = v
             want = feature_rows_gather(m, parents, variables, b.degree_bounds)
             assert np.array_equal(got, want), (d, g)
+
+
+def test_hard_probe_rows_matches_loops():
+    # one lambda and a grid of many, negative lambdas included
+    for n in (1, 2, 4, 8):
+        for d in (1, 2, 3):
+            hi = tk.make_hard_instance(n, d, 3.0, n + d)
+            for lams in ([0.7], np.linspace(-1.0, 1.0, 9)):
+                got = kernels.hard_probe_rows(hi.H, hi.V, lams)
+                want = hard_probe_rows_loops(hi.H, hi.V, lams)
+                assert got.shape == (len(lams), n, 4)
+                assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), (n, d, len(lams))
