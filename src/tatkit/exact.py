@@ -3,14 +3,17 @@
 Every softmax argument is computed, so the engine is cubic in n and guarded
 by a sequence cap.  It serves as the ground-truth oracle for the low-rank
 engine.  Every path is admitted once per call by ``_admit``: the cap check
-and one exp-limit check of the softmax-argument row bound.  ``forward``,
+and one exp-limit check of R, the largest of the per-row bounds r
+(``lowrank.softmax_row_bounds``) on the softmax arguments.  ``forward``,
 ``loss`` and ``grad_exact`` share one kernel, ``_moments``.  It forms the
 unnormalized attention weights of b = ``block_len(n^2)`` query rows at a
-time and reads each block once, by two Kronecker contractions (over l, then
-over j) against [1 | V] and [1 | A] operands.  Per query row it keeps a
-(d+1)^3 moment tensor, from which the forward row and the gradient row are
-read, so the forward rows of ``forward`` and ``grad_exact`` are the same
-bits.  No n x n^2 matrix exists besides one block of weights.
+time, exp(s - r[j0]) straight from the score GEMM when 4 R is within the
+exp limit (a row max past it), and reads each block once, by two Kronecker
+contractions (over l, then over j) against [1 | V] and [1 | A] operands.
+Per query row it keeps a (d+1)^3 moment tensor, from which the forward row
+and the gradient row are read, so the forward rows of ``forward`` and
+``grad_exact`` are the same bits.  No n x n^2 matrix exists besides one
+block of weights.
 ``attention_weights`` and ``compute_intermediates`` materialize F, W and P
 through ``_scores`` as the specification the tests read.  ``grad_fd``
 shifts that one score matrix into all 2 d^3 perturbed ones as a single
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lowrank import softmax_arg_bound
+from .lowrank import softmax_row_bounds
 from .tensorops import col_kron
 
 DEFAULT_EXACT_CAP = 256
@@ -37,6 +40,8 @@ FD_N_CAP = 8
 FD_D_CAP = 4
 # entries of a scratch block (1 MiB); of 2^15..2^18, the fastest at n=128
 _BLOCK_ENTRIES = 1 << 17
+# multiply-adds of the largest BLAS call OpenBLAS keeps on one thread
+_GEMM_MACS = 1 << 18
 
 
 def exact_cap():
@@ -66,10 +71,16 @@ def _check_cap(n):
         )
 
 
+def _within_exp_limit(value):
+    """Whether ``value``, a bound on |exp arguments|, is within ``EXP_ARG_LIMIT``;
+    a nan is not."""
+    return value <= EXP_ARG_LIMIT
+
+
 def check_exp_limit(what, value):
     """Raise ``NumericalError`` unless ``value``, a bound on |exp arguments|, is
     within ``EXP_ARG_LIMIT``; a nan (an overflowed projection or lambda) fails."""
-    if not value <= EXP_ARG_LIMIT:
+    if not _within_exp_limit(value):
         raise NumericalError(f"{what} {value:.6g} exceeds exp limit {EXP_ARG_LIMIT:g}")
 
 
@@ -79,11 +90,17 @@ def block_len(item_entries):
 
 
 def _admit(inst):
-    """The projections (Q, K1, K2, V1, V2), after the cap and exp-limit checks."""
+    """The projections (Q, K1, K2, V1, V2) and the row bounds r, after the checks.
+
+    r is ``softmax_row_bounds`` of the projections: row j0's scores lie in
+    [-r[j0], r[j0]].  The cap is checked first, then R = max r against the
+    exp limit.
+    """
     _check_cap(inst.n)
     proj = inst.projected()
-    check_exp_limit("softmax argument bound", softmax_arg_bound(*proj[:3]))
-    return proj
+    r = softmax_row_bounds(*proj[:3])
+    check_exp_limit("softmax argument bound", float(r.max()))
+    return proj, r
 
 
 def _scores(inst, proj=None):
@@ -92,7 +109,7 @@ def _scores(inst, proj=None):
     A caller that needs the values too passes the projections it took from
     ``_admit(inst)``; otherwise they are admitted here.
     """
-    q, k1, k2, _, _ = _admit(inst) if proj is None else proj
+    q, k1, k2, _, _ = _admit(inst)[0] if proj is None else proj
     return (q / inst.d) @ col_kron(k1, k2).T
 
 
@@ -115,13 +132,15 @@ def _block_rows(n):
 
 
 def _matmul_rows(a, b, out):
-    """``out = a @ b`` in row chunks of at most ``_BLOCK_ENTRIES`` multiply-adds.
+    """``out = a @ b`` in row chunks of at most ``_GEMM_MACS`` multiply-adds.
 
-    OpenBLAS spreads a product of 2^19 or more multiply-adds over every
-    core.  On a shared 2-vCPU host such calls stalled for ~8 ms at a time,
-    while one-thread chunks of this size ran as fast as the threaded call.
+    OpenBLAS keeps a product of up to 2^18 multiply-adds on one thread and
+    spreads one of 2^19 or more over every core.  On a shared 2-vCPU host
+    such threaded calls stalled for ~8 ms at a time, while one-thread chunks
+    ran as fast; chunks of 2^18 ran the moment kernel ~6% faster than
+    chunks of 2^17.
     """
-    step = block_len(b.size)
+    step = max(1, _GEMM_MACS // b.size)
     for lo in range(0, a.shape[0], step):
         np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
 
@@ -130,39 +149,63 @@ def _moments(inst):
     """Forward rows Y (n x d) and the unnormalized attention moments T.
 
     T (n x (d+1)^3) holds, per query row j0 with unnormalized weights
-    w = exp(s - rowmax) and M' = [1 | M] for each n x d matrix M,
+    w = exp(s - c[j0]) and M' = [1 | M] for each n x d matrix M,
 
         T[j0, b, e, f] = sum_{j,l} w[j0, (j, l)] V1'[j, b] V2'[l, b] A2'[j, e] A3'[l, f],
 
     so T[j0, 0, 0, 0] is the row total, Y_j0 = T[j0, 1:, 0, 0] / total and
-    T[j0, :, 1:, 1:] is what the gradient contracts.  ``_admit`` runs once,
-    here, before anything n^2-sized is built.  Each block
-    of ``_block_rows(n)`` query rows J forms its weights in one |J|*n x n
-    buffer, from the scores (Q_J * K1) @ K2.T / d, and reads them once:
+    T[j0, :, 1:, 1:] is what the gradient contracts.  A shift c[j0] scales
+    row j0 of T by e^-c[j0], and every output is a ratio within one row, so
+    any shift that keeps the row's weights finite and its total nonzero
+    gives the same outputs up to rounding.  ``_admit`` runs once, here,
+    before anything n^2-sized is built, and its row bounds r place every
+    score of row j0 in [-r[j0], r[j0]].
+
+    Each block of ``_block_rows(n)`` query rows J forms its weights in one
+    |J|*n x n buffer by one GEMM, [Q_J * K1 | -c_J] @ [K2.T / d ; 1], which
+    gives s - c[j0], and one in-place exp.  With c = r every weight lies in
+    [e^-2R, 1], so no row max is taken.  That scales a row's moments by as
+    little as e^-2R against the row-max form, and small values then sink
+    into subnormals: at R = 349 a row of equal scores -R with value
+    products near 1e-16 read ``forward`` 5e-6 off.  So c = r only while
+    4 R is within the exp limit, which keeps e^-350 (~1e-152) of range in
+    hand.  Past that, c = 0 and the row max is subtracted after the GEMM,
+    as it must be: a row's largest weight could underflow to 0 (a 1 x 1
+    instance with score -400 would give 0 / 0).  The block is then read once:
     stage 1 contracts l, w @ row_kron(V2', A3') with an n x (d+1)^2
     operand; stage 2 contracts j against row_kron(V1', A2'), one matmul
-    batched over (j0, b).  Nothing else is of size n^2.
+    batched over (j0, b).  No BLAS call exceeds ``_GEMM_MACS`` multiply-adds
+    (see ``_matmul_rows``).  Nothing else is of size n^2.
     """
     n, d = inst.n, inst.d
-    q, k1, k2, v1, v2 = _admit(inst)
+    (q, k1, k2, v1, v2), r = _admit(inst)
+    fold = _within_exp_limit(4.0 * float(r.max()))  # c = r, else c = 0 and a row max
     d1 = d + 1  # columns of [1 | M]
     aug = np.empty((4, n, d1))  # V2', A3', V1', A2'
     aug[:, :, 0] = 1.0
     aug[:, :, 1:] = (v2, inst.A3, v1, inst.A2)
     over_l = (aug[0, :, :, None] * aug[1, :, None, :]).reshape(n, d1 * d1)  # (l, (b, f))
     over_j = (aug[2, :, :, None] * aug[3, :, None, :]).transpose(1, 2, 0)  # (b, e, j)
-    k2_t = k2.T / d
+    keys = np.empty((d1, n))  # [K2.T / d ; 1]
+    np.divide(k2.T, d, out=keys[:d])
+    keys[d] = 1.0
     block = _block_rows(n)
+    # [Q_J * K1 | -c_J] transposed, one column per (j0, j): filled by
+    # contiguous writes and read by BLAS as a transposed operand
+    lhs_buf = np.empty((d1, block, n))
     w_buf = np.empty((block * n, n))
     s1_buf = np.empty((block * n, d1 * d1))
     t = np.empty((n, d1, d1, d1))
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
         m = (rows.stop - lo) * n
-        w, s1 = w_buf[:m], s1_buf[:m]
-        _matmul_rows((q[rows, None, :] * k1).reshape(m, d), k2_t, w)
+        lhs, w, s1 = lhs_buf[:, :rows.stop - lo], w_buf[:m], s1_buf[:m]
+        np.multiply(q.T[:, rows, None], k1.T[:, None, :], out=lhs[:d])
+        lhs[d] = -r[rows, None] if fold else 0.0
+        _matmul_rows(lhs.reshape(d1, m).T, keys, w)
         flat = w.reshape(-1, n * n)
-        flat -= flat.max(axis=1, keepdims=True)
+        if not fold:
+            flat -= np.max(flat, axis=1, keepdims=True)
         np.exp(flat, out=flat)
         _matmul_rows(w, over_l, s1)
         np.matmul(over_j, s1.reshape(-1, n, d1, d1).transpose(0, 2, 1, 3), out=t[rows])
@@ -200,7 +243,7 @@ class ExactIntermediates:
 
 
 def compute_intermediates(inst):
-    proj = _admit(inst)
+    proj, _ = _admit(inst)
     f = _softmax_rows(_scores(inst, proj))
     h = col_kron(*proj[3:])
     vres = f @ h - inst.E
@@ -257,7 +300,7 @@ def grad_fd(inst, step):
             f"(got n={inst.n}, d={inst.d})"
         )
     n, d = inst.n, inst.d
-    proj = _admit(inst)
+    proj, _ = _admit(inst)
     scores = _scores(inst, proj)
     z = np.empty((2, d, d, d, n, n, n))  # (sign, a, b, c, i, j, l)
     np.einsum("ia,jb,lc->abcijl", inst.A1, inst.A2, inst.A3 * (step / d), out=z[0])

@@ -44,7 +44,7 @@ class AttnInstance:
         if self.n < 1 or self.d < 1:
             raise ValidationError(f"n and d must be positive, got n={self.n} d={self.d}")
         for name in MATRIX_FIELDS:
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, a)
             want = matrix_shape(name, self.n, self.d)
             if a.shape != want:

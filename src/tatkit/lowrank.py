@@ -19,10 +19,11 @@ monomials.  The weights have two readers, both on the query side:
 its k1-sized contractions.  The raw key-side V, W make ``col_kron(V, W)``
 rows equal raw monomials of k1_j * k2_l.
 
-The argument range [-R, R] comes from the row bound of
-:func:`softmax_arg_bound`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
-max_l |k2_l,a|, which dominates every |<q_j0, k1_j * k2_l>| / d.  The exact
-engine checks the same R against its exp limit.  The degree is chosen from
+The argument range [-R, R] comes from the row bounds of
+:func:`softmax_row_bounds`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
+max_l |k2_l,a| (:func:`softmax_arg_bound`), which dominates every
+|<q_j0, k1_j * k2_l>| / d.  The exact engine checks the same R against its
+exp limit and shifts row j0's scores by r[j0].  The degree is chosen from
 the Lagrange remainder ``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra
 requirement that the remainder be below ``e^-R`` so every approximated
 attention weight stays positive and the row normalizer cannot vanish.  The
@@ -259,15 +260,25 @@ def col_abs_max(m):
     return np.abs(np.ascontiguousarray(m.T)).max(axis=1)
 
 
-def softmax_arg_bound(q, k1, k2):
-    """Row bound R on every softmax argument |<q_j0, k1_j * k2_l>| / d.
+def softmax_row_bounds(q, k1, k2):
+    """Per-row bounds r on the softmax arguments: |<q_j0, k1_j * k2_l>| / d <= r[j0].
 
-    R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| * max_l |k2_l,a|: each
-    term of the inner product is bounded by its column maxima on the key
-    sides.  Costs O(n d) and never forms a key pair.
+    r[j0] = sum_a |q_j0,a| * max_j |k1_j,a| * max_l |k2_l,a| / d: each term
+    of the inner product is bounded by its column maxima on the key sides.
+    Costs O(n d) and never forms a key pair.
     """
-    d = q.shape[1]
-    return float((np.abs(q) @ (col_abs_max(k1) * col_abs_max(k2))).max()) / d
+    r = np.abs(q) @ (col_abs_max(k1) * col_abs_max(k2))
+    r /= q.shape[1]
+    return r
+
+
+def softmax_arg_bound(q, k1, k2):
+    """Bound R on every softmax argument |<q_j0, k1_j * k2_l>| / d.
+
+    R is the largest of :func:`softmax_row_bounds`.  Division by d is
+    monotone, so R has the bits of the row max taken before dividing.
+    """
+    return float(softmax_row_bounds(q, k1, k2).max())
 
 
 def f_degree(d, r, eps):

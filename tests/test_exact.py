@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -195,11 +198,12 @@ def test_row_blocks_match_dense_spec(n, entries, d, monkeypatch):
 
 
 def test_row_blocks_check_bound_once(monkeypatch):
-    # 13 rows in blocks of 3: five blocks, one row-bound evaluation
+    # 13 rows in blocks of 3: five blocks, one evaluation of the row bounds,
+    # which both the exp-limit check and the kernel's shift read
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
     calls = []
-    bound = exact.softmax_arg_bound
-    monkeypatch.setattr(exact, "softmax_arg_bound", lambda *a: calls.append(1) or bound(*a))
+    bounds = exact.softmax_row_bounds
+    monkeypatch.setattr(exact, "softmax_row_bounds", lambda *a: calls.append(1) or bounds(*a))
     inst = _instance(13, 2, 5)
     tk.grad_exact(inst)
     assert len(calls) == 1
@@ -389,6 +393,111 @@ def test_exp_guard_uses_row_bound():
         tk.forward(nan_bound)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
         tk.grad_fd(nan_bound, 1e-5)
+
+
+class _NumpyLog:
+    """numpy, but ``matmul`` logs the multiply-adds of its BLAS calls and
+    ``max`` counts its calls: the moment kernel's row-max passes."""
+
+    def __init__(self):
+        self.macs = []
+        self.row_maxes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        # a stacked matmul is one BLAS call per trailing 2-D product
+        self.macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return np.matmul(a, b, out=out)
+
+    def max(self, *args, **kwargs):
+        self.row_maxes += 1
+        return np.max(*args, **kwargs)
+
+
+def _numpy_log(monkeypatch):
+    log = _NumpyLog()
+    monkeypatch.setattr(exact, "np", log)
+    return log
+
+
+def test_unsafe_fold_falls_back_to_row_max(monkeypatch):
+    # the one score is -400 and r = 400: shifted by r it would be -800, whose
+    # exp underflows to 0 and leaves 0 / 0, so the kernel takes the row max
+    one = np.ones((1, 1))
+    inst = tk.AttnInstance(n=1, d=1, A1=-20 * one, A2=20 * one, A3=one, A4=one, A5=one,
+                           E=0 * one, X1=one, X2=one, X3=one, Y1=one, Y2=one)
+    assert float(exact._scores(inst)[0, 0]) == -400.0
+    log = _numpy_log(monkeypatch)
+    assert tk.forward(inst).tolist() == [[1.0]]
+    assert log.row_maxes == 1
+    assert tk.loss(inst) == 0.5
+
+
+@pytest.mark.parametrize("c, folded", [(20.0, True), (80.0, False)])
+def test_shift_matches_dense_spec_on_both_sides(c, folded, monkeypatch):
+    # R = 100 (shifted by r inside the score GEMM) and R = 400 (row max)
+    inst = _diagonal_instance(c)
+    want = _dense_grad(inst)
+    y = exact.attention_weights(inst) @ tk.col_kron(inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
+    log = _numpy_log(monkeypatch)
+    got = tk.grad_exact(inst)
+    assert log.row_maxes == (0 if folded else 1)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(tk.forward(inst) - y).max() <= 1e-14
+
+
+@pytest.mark.parametrize("r_max, folded", [(174.9, True), (175.1, False)])
+def test_blocked_shift_at_the_switch(r_max, folded, monkeypatch):
+    # 13 rows in blocks of 3, A1 scaled so that R sits just below or just
+    # above a quarter of the exp limit, where the kernel switches its shift
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
+    base = _instance(13, 2, 8)
+    q, k1, k2, _, _ = base.projected()
+    scale = r_max / tk.lowrank.softmax_arg_bound(q, k1, k2)
+    inst = tk.AttnInstance(n=13, d=2, **{k: getattr(base, k) for k in (
+        "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")}, A1=scale * base.A1)
+    want = _dense_grad(inst)
+    y = exact.attention_weights(inst) @ tk.col_kron(inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
+    log = _numpy_log(monkeypatch)
+    got = tk.grad_exact(inst)
+    assert log.row_maxes == (0 if folded else 5)  # one per block
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(tk.forward(inst) - y).max() <= 1e-13 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("r_max", [174.9, 349.0])
+@pytest.mark.parametrize("v", [1.0, 1e-4, 1e-8])
+def test_shift_keeps_small_values_normal(r_max, v):
+    # keys of one value and a negative query: every score of row 0 is -r(0),
+    # so shifted by r its weights are all e^-2r.  With r = 349 and value
+    # products near v^2 = 1e-16 they would sink into subnormals (forward
+    # read 5e-6 off); the switch at 4R keeps such rows on the row max
+    col, one = np.ones((2, 1)), np.ones((1, 1))
+    a = math.sqrt(r_max)
+    inst = tk.AttnInstance(n=2, d=1, A1=np.array([[-a], [0.5 * a]]), A2=a * col, A3=col,
+                           A4=v * np.array([[1.0], [2.0]]), A5=v * np.array([[3.0], [-1.0]]),
+                           E=np.zeros((2, 1)), X1=one, X2=one, X3=one, Y1=one, Y2=one)
+    y = exact.attention_weights(inst) @ tk.col_kron(inst.A4, inst.A5)
+    assert np.abs(tk.forward(inst) - y).max() <= 1e-13 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_moment_kernel_gemms_fit_one_thread(n, monkeypatch):
+    # OpenBLAS keeps a call of up to 2^18 multiply-adds on one thread (see
+    # exact._matmul_rows); every call of the moment kernel stays there.
+    # The kernel multiplies only through np.matmul, so the log sees every
+    # call.
+    for fn in (exact._moments, exact._matmul_rows):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    log = _numpy_log(monkeypatch)
+    for d in (2, 3, 4):
+        inst = _instance(n, d, 1, bound=0.8)
+        tk.grad_exact(inst)
+        tk.forward(inst)
+    assert log.macs and max(log.macs) <= 1 << 18, max(log.macs)
 
 
 def test_instance_validation():

@@ -276,8 +276,7 @@ def _blocks(inst, **over):
     return tk.AttnInstance(n=inst.n, d=inst.d, **blocks)
 
 
-def test_softmax_arg_bound_is_rigorous():
-    # b^3 >= R >= every realised softmax argument, b the largest projected entry
+def _bound_cases():
     cases = []
     for d in (1, 2, 3, 4):
         for seed in range(3):
@@ -298,13 +297,34 @@ def test_softmax_arg_bound_is_rigorous():
             cases.append(_blocks(inst, A1=a1, A3=np.repeat(inst.A3[:1], 6, axis=0)))
     zero = cases[0]
     cases.append(_blocks(zero, A1=np.zeros_like(zero.A1)))
-    for inst in cases:
+    return cases
+
+
+def test_softmax_arg_bound_is_rigorous():
+    # b^3 >= R >= every realised softmax argument, b the largest projected entry
+    for inst in _bound_cases():
         r = _arg_bound(inst)
         top = float(np.abs(exact._scores(inst)).max())
         b = max(float(np.abs(m).max()) for m in inst.projected())
         assert b ** 3 >= r >= top, (inst.d, r, top)
         if inst.d == 1:  # one column: the bound is attained
             assert r == top
+
+
+def test_softmax_row_bounds_bound_each_row():
+    # R is the rows' largest bound bit for bit, and equals the formula it had
+    # before the per-row vector existed (max, then divide by d)
+    for inst in _bound_cases():
+        q, k1, k2, _, _ = inst.projected()
+        rows = lowrank.softmax_row_bounds(q, k1, k2)
+        r = lowrank.softmax_arg_bound(q, k1, k2)
+        assert r == rows.max()
+        c = lowrank.col_abs_max(k1) * lowrank.col_abs_max(k2)
+        assert r == float((np.abs(q) @ c).max()) / inst.d
+        top = np.abs(exact._scores(inst)).max(axis=1)
+        assert rows.shape == (inst.n,) and (rows >= top).all(), (inst.d, rows, top)
+        if inst.d == 1:  # one column: every row's bound is attained
+            assert (rows == top).all()
 
 
 def test_build_f_factors_validation():
