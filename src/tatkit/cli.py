@@ -198,15 +198,21 @@ def _cmd_bench(args):
 def _cmd_probe(args):
     """Check |f'| <= 8 Ba n d, the normalizer sandwich and |s_t - (f1 - f0)| <= b_emp / t.
 
-    The last check allows 4 ulps times n (|f0| + |f1| + max |f'|) of rounding,
-    as f and f' are sums of n row terms: a flat curve (Ba = 1) has b_emp = 0.
+    One ``hardness.sweep`` evaluates the curve once at each lambda of the
+    union of the averaging grid {k/t} and the f'' grid {k/100}, which holds
+    the 21 check points k/20 and both ends.  b_emp is max |f''| over the
+    f'' grid, so it equals ``empirical_second_derivative_bound``, and s_t
+    equals ``avg_estimate``.  The last check allows 4 ulps times
+    n (|f0| + |f1| + max |f'|) of rounding, as f and f' are sums of n row
+    terms: a flat curve (Ba = 1) has b_emp = 0.
     """
     hi = hardness.make_hard_instance(args.n, args.d, args.ba, args.seed)
     n, d, ba = hi.n, hi.d, hi.Ba
-    grid = np.linspace(0.0, 1.0, 21)
+    s_t, f2 = hardness.sweep(hi, args.t, hardness.F2_INTERVALS)
+    grid = np.arange(21) / 20
+    curve = hardness.Curve(*(v[::hardness.F2_INTERVALS // 20] for v in f2))
     bound = 8.0 * ba * n * d
     slack = 1.0 + 1e-12
-    curve = hardness.curve(hi, grid)
     abs_fp = np.abs(curve.fp)
     i = int(np.argmax(abs_fp))
     max_fp = float(abs_fp[i])
@@ -222,8 +228,7 @@ def _cmd_probe(args):
             f"row normalizer sandwich violated at lambda={grid[np.argmax(outside)]:g}"
         )
     f0, f1 = float(curve.f[0]), float(curve.f[-1])
-    b_emp = hardness.empirical_second_derivative_bound(hi)
-    s_t = hardness.avg_estimate(hi, args.t)
+    b_emp = float(np.abs(f2.fpp).max())
     gap = abs(s_t - (f1 - f0))
     rounding = 4.0 * np.finfo(float).eps * n * (abs(f0) + abs(f1) + max_fp)
     if gap > b_emp / args.t * slack + rounding:

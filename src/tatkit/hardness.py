@@ -8,16 +8,21 @@ curve
 
 has derivatives bounded by O(Ba n d), which is what lets forward values be
 recovered from an average of gradient evaluations.  This module evaluates
-f, its analytic derivative, the row normalizers and the averaging
-estimator, all via per-row sums (g, g', h, h') so no quotient is formed
-before the row-level division.  ``curve`` is the one evaluator: it takes a
-vector of lambdas and batches them through ``kernels.hard_probe_rows``, so
-each caller evaluates a lambda grid in one call: ``f_prime`` reads it at one
-lambda, ``empirical_second_derivative_bound`` on its fixed grid,
-``avg_estimate`` one kernel block at a time and ``tat probe`` for f, f' and h.
-f at one lambda is ``curve(hi, [lam]).f[0]``.  ``make_hard_instance`` draws
-from the same seeded Philox generator as ``random_instance``.  The exp-limit
-test and the kernel's block budget are the exact engine's (``exact``).
+f, its analytic first and second derivatives, the row normalizers and the
+averaging estimator, all via per-row sums (g, g', h, h', and g''/h, h''/h
+from row-normalized sums) so no quotient is formed before the row-level
+division and no product of row sums overflows ahead of h.  ``curve`` is the
+one evaluator: it takes a vector of lambdas and batches them through
+``kernels.hard_probe_rows``, so each caller evaluates a lambda grid in one
+call: ``f_prime`` reads it at one lambda and
+``empirical_second_derivative_bound`` takes max |f''| on the grid
+{k/100 : k = 0..100}.  ``sweep`` streams the union of that grid and the
+averaging grid {k/t} through ``curve`` one kernel block at a time: it is
+``avg_estimate`` with no fixed grid, and ``tat probe`` reads f, f', f'', h
+and s_t from one such pass.  f at one lambda is ``curve(hi, [lam]).f[0]``.
+``make_hard_instance`` draws from the same seeded Philox generator as
+``random_instance``.  The exp-limit test and the kernel's block budget are
+the exact engine's (``exact``).
 """
 
 import math
@@ -54,7 +59,7 @@ class HardInstance:
             raise ValidationError(f"V must be {n * n} x {d}, got {v.shape}")
         if h.min() < 1 or h.max() > self.Ba:
             raise ValidationError("H entries must lie in [1, Ba]")
-        if not np.isin(v, (0.0, 1.0)).all():
+        if not ((v == 0.0) | (v == 1.0)).all():  # a nan fails too
             raise ValidationError("V entries must be 0 or 1")
         need = -(-(n * n) // 2)  # ceil(n^2 / 2)
         rows_at_ba = (h == self.Ba).sum(axis=1)
@@ -84,10 +89,9 @@ def make_hard_instance(n, d, ba, seed):
     return HardInstance(n=n, d=d, Ba=float(ba), H=h, V=v)
 
 
-_F2_STEP = 1e-5  # lambda step of the central difference of f' for f''
-_F2_POINTS = 101  # grid on [0, 1] over which max |f''| is taken
+F2_INTERVALS = 100  # max |f''| is taken over the grid {k/100 : k = 0..100}
 
-Curve = namedtuple("Curve", "f fp h")
+Curve = namedtuple("Curve", "f fp fpp h")
 
 
 def _probe_block(hi, lam_abs):
@@ -103,16 +107,18 @@ def _probe_block(hi, lam_abs):
 
 
 def curve(hi, lams):
-    """f, f' (length L) and the row normalizers h (L x n) at each of L ``lams``.
+    """f, f', f'' (length L) and the row normalizers h (L x n) at each of L ``lams``.
 
     ``lams`` must be a non-empty 1-D array (``ValidationError`` otherwise).
-    f' comes from the per-row quotient rule, g'/h - (g/h)(h'/h), which forms
-    no product of two row sums.  The exp limit is checked once, on the
-    largest |lambda| (a nan fails it) before the kernel runs, which gets
-    blocks of ``exact.block_len(n^3)`` lambdas: one block is all the scratch
-    a kernel call holds.  A row sum that overflows (h = (sum M_i)^2 does,
-    past lambda * Ba ~ 350 at n=8) raises ``NumericalError`` instead of
-    returning a nan.
+    Per row, with q = g/h: f' sums q' = g'/h - q (h'/h), which forms no
+    product of two row sums, and f'' sums q'' = g''/h - 2 q' (h'/h) - q (h''/h),
+    whose g''/h and h''/h the kernel forms from row-normalized sums.  The
+    exp limit is checked once, on the largest |lambda| (a nan fails it)
+    before the kernel runs, which gets blocks of ``exact.block_len(n^3)``
+    lambdas: one block is all the scratch a kernel call holds.  A row sum
+    that overflows (h = (sum M_i)^2 does, past lambda * Ba ~ 350 at n=8, and
+    h' a little before it) raises ``NumericalError`` instead of returning a
+    nan.
     """
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or lams.size == 0:
@@ -121,8 +127,11 @@ def curve(hi, lams):
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.concatenate([kernels.hard_probe_rows(hi.H, hi.V, lams[i:i + block])
                                for i in range(0, lams.size, block)])
-        g, gp, h, hp = np.moveaxis(rows, -1, 0)
-        out = Curve(f=(g / h).sum(axis=1), fp=(gp / h - (g / h) * (hp / h)).sum(axis=1), h=h)
+        g, gp, h, hp, g2h, h2h = np.moveaxis(rows, -1, 0)
+        q, hph = g / h, hp / h
+        qp = gp / h - q * hph
+        out = Curve(f=q.sum(axis=1), fp=qp.sum(axis=1),
+                    fpp=(g2h - 2.0 * qp * hph - q * h2h).sum(axis=1), h=h)
     if not all(np.isfinite(v).all() for v in out):
         raise NumericalError("non-finite hard-curve value: a row sum overflowed")
     return out
@@ -134,24 +143,52 @@ def f_prime(hi, lam):
 
 
 def empirical_second_derivative_bound(hi):
-    """max |f''| over [0, 1], estimated by differencing the analytic f'."""
-    lams = np.linspace(0.0, 1.0, _F2_POINTS)
-    fp = curve(hi, np.concatenate([lams + _F2_STEP, lams - _F2_STEP])).fp
-    return float(np.abs((fp[:_F2_POINTS] - fp[_F2_POINTS:]) / (2.0 * _F2_STEP)).max())
+    """max |f''| over {k/100 : k = 0..100}, from the analytic f'' in one call."""
+    lams = np.arange(F2_INTERVALS + 1) / F2_INTERVALS
+    return float(np.abs(curve(hi, lams).fpp).max())
+
+
+def sweep(hi, t, fixed=0):
+    """s_t, and the curve on {j/fixed : j = 0..fixed}, from one pass over both grids.
+
+    s_t is the mean of f' over the left-endpoint grid {0, 1/t, ..., (t-1)/t}
+    and approximates f(1) - f(0) with error at most max|f''| / t.  The sorted
+    union of that grid and the fixed one (none when ``fixed`` is 0) goes
+    through ``curve`` one kernel block at a time, so a lambda on both grids
+    is evaluated once, and memory does not grow with t.  The grids are
+    merged as integers over the denominator t * fixed, so every lambda is
+    the correctly rounded k/t or j/fixed (while t * fixed < 2^53).  The
+    merge sorts and drops repeats: ``np.union1d``'s hash-based unique held
+    ~1 MiB more process memory.  f' is summed in grid order, so s_t does
+    not depend on the blocking or on the fixed grid.
+    """
+    t = int(t)
+    if t < 1:
+        raise ValidationError(f"t must be at least 1, got {t}")
+    step = max(fixed, 1)  # k/t is the key k * step, j/fixed the key j * t
+    denom, points = t * step, fixed + 1 if fixed else 0
+    block = _probe_block(hi, 1.0 if fixed else (t - 1) / t)
+    total, parts = 0, []
+    k = j = 0
+    while k < t or j < points:
+        ks = np.arange(k, min(k + block, t)) * step
+        js = np.arange(j, min(j + block, points)) * t
+        keys = np.sort(np.concatenate((ks, js)))
+        keys = keys[np.diff(keys, prepend=-1) != 0][:block]
+        k += int(np.searchsorted(ks, keys[-1], "right"))
+        j += int(np.searchsorted(js, keys[-1], "right"))
+        c = curve(hi, keys / denom)
+        total = sum(c.fp[(keys % step == 0) & (keys < denom)].tolist(), total)
+        if fixed:
+            on_fixed = keys % t == 0
+            parts.append([v[on_fixed] for v in c])
+    fixed_curve = Curve(*map(np.concatenate, zip(*parts))) if parts else None
+    return total / t, fixed_curve
 
 
 def avg_estimate(hi, t):
     """s_t: the mean of f' over the left-endpoint grid {0, 1/t, ..., (t-1)/t}.
 
-    Approximates f(1) - f(0) with error at most max|f''| / t.  f' is summed
-    in grid order one kernel block at a time, so s_t does not depend on the
-    blocking and memory does not grow with t.
+    ``sweep`` with no fixed grid: one kernel block at a time, in grid order.
     """
-    t = int(t)
-    if t < 1:
-        raise ValidationError(f"t must be at least 1, got {t}")
-    block = _probe_block(hi, (t - 1) / t)
-    total = 0
-    for lo in range(0, t, block):
-        total = sum(curve(hi, np.arange(lo, min(lo + block, t)) / t).fp.tolist(), total)
-    return total / t
+    return sweep(hi, t)[0]

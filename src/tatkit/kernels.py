@@ -38,13 +38,19 @@ def bilinear_rows(U, G, V):
 
 
 def hard_probe_rows(H, V, lams):
-    """Per-row (g, g', h, h') of the hard-instance curve at each of ``lams``.
+    """Per-row (g, g', h, h', g''/h, h''/h) of the hard-instance curve at each of ``lams``.
 
-    Returns an L x n x 4 array for L values of lambda.  With
-    M_i = exp(lam * H[i]): g = ||M_i @ V||^2, h = (sum M_i)^2, and g', h'
-    their derivatives in lam.  Holds one L x n x n^2 buffer, updated in
-    place: lam * H, then M, then H o M, each read before the next overwrites
-    it.
+    Returns an L x n x 6 array for L values of lambda.  With
+    M_i = exp(lam * H[i]), r = sum M_i and A = M_i @ V: g = ||A||^2,
+    h = r^2, and primes are derivatives in lam.  Each derivative multiplies
+    M_i by H[i] once more: s = sum H o M_i and B = (H o M_i) @ V for the
+    first, u = sum H^2 o M_i and C = (H^2 o M_i) @ V for the second, so
+    g' = 2 A.B, h' = 2 r s, g'' = 2 (B.B + A.C) and h'' = 2 (s^2 + r u).
+    The last two are returned over h and formed from A/r, B/r, C/r, s/r and
+    u/r: s^2 and r u exceed r^2 by ~Ba^2, so the unnormalized g'' and h''
+    overflow a double ahead of h.  Holds one L x n x n^2 buffer, updated in
+    place: lam * H, then M, then H o M, then H^2 o M, each read before the
+    next overwrites it.
     """
     M = np.asarray(lams, dtype=np.float64)[:, None, None] * H
     np.exp(M, out=M)
@@ -53,9 +59,19 @@ def hard_probe_rows(H, V, lams):
     M *= H
     s = M.sum(axis=2)
     B = M @ V
-    out = np.empty(r.shape + (4,))
+    M *= H
+    u = M.sum(axis=2)
+    C = M @ V
+    out = np.empty(r.shape + (6,))
     out[..., 0] = (A * A).sum(axis=2)
     out[..., 1] = 2.0 * (A * B).sum(axis=2)
     out[..., 2] = r * r
     out[..., 3] = 2.0 * r * s
+    rn = r[..., None]
+    A /= rn
+    B /= rn
+    C /= rn
+    s /= r
+    out[..., 4] = 2.0 * (B * B + A * C).sum(axis=2)
+    out[..., 5] = 2.0 * (s * s + u / r)
     return out

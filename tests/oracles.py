@@ -175,26 +175,34 @@ def hard_curve_rowsum(hi, lam):
 
 
 def hard_probe_rows_loops(H, V, lams):
-    """(g, g', h, h') per lambda and row, one exp and one sum term at a time.
+    """(g, g', h, h', g''/h, h''/h) per lambda and row, one exp and one sum term at a time.
 
-    With m_j = exp(lam H[i, j]): a_k = sum_j m_j V[j, k] and
-    b_k = sum_j H[i, j] m_j V[j, k]; g = sum_k a_k^2, g' = 2 sum_k a_k b_k,
-    h = (sum_j m_j)^2 and h' = 2 (sum_j m_j)(sum_j H[i, j] m_j).
+    With m_j = exp(lam H[i, j]): a_k = sum_j m_j V[j, k],
+    b_k = sum_j H[i, j] m_j V[j, k] and c_k = sum_j H[i, j]^2 m_j V[j, k];
+    g = sum_k a_k^2, g' = 2 sum_k a_k b_k, g'' = 2 sum_k (b_k^2 + a_k c_k),
+    h = (sum_j m_j)^2, h' = 2 (sum_j m_j)(sum_j H[i, j] m_j) and
+    h'' = 2 ((sum_j H[i, j] m_j)^2 + (sum_j m_j)(sum_j H[i, j]^2 m_j)).
     """
     n, m = H.shape
     d = V.shape[1]
-    out = np.zeros((len(lams), n, 4))
+    out = np.zeros((len(lams), n, 6))
     for li, lam in enumerate(lams):
         for i in range(n):
-            r = s = 0.0
-            a, b = [0.0] * d, [0.0] * d
+            r = s = u = 0.0
+            a, b, c = [0.0] * d, [0.0] * d, [0.0] * d
             for j in range(m):
-                e = math.exp(float(lam) * float(H[i, j]))
+                x = float(H[i, j])
+                e = math.exp(float(lam) * x)
                 r += e
-                s += float(H[i, j]) * e
+                s += x * e
+                u += x * x * e
                 for k in range(d):
                     a[k] += e * float(V[j, k])
-                    b[k] += float(H[i, j]) * e * float(V[j, k])
-            out[li, i] = (sum(x * x for x in a), 2.0 * sum(x * y for x, y in zip(a, b)),
-                          r * r, 2.0 * r * s)
+                    b[k] += x * e * float(V[j, k])
+                    c[k] += x * x * e * float(V[j, k])
+            h = r * r
+            out[li, i] = (sum(y * y for y in a), 2.0 * sum(y * z for y, z in zip(a, b)),
+                          h, 2.0 * r * s,
+                          2.0 * sum(z * z + y * w for y, z, w in zip(a, b, c)) / h,
+                          2.0 * (s * s + r * u) / h)
     return out

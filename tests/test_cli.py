@@ -273,20 +273,59 @@ def test_probe_ok(capsys):
 
 
 def test_probe_evaluates_each_lambda_grid_once(capsys, monkeypatch):
-    # one batched curve per grid: the 21-point check grid, the 2 x 101
-    # shifted f'' grid and the t-point average
+    # one kernel call over the union of the t-point average and the 101-point
+    # f'' grid, which holds the 21 check points; it was three, one per grid
+    # (21 checks, 2 x 101 shifted lambdas for a central-difference f'',
+    # t = 100 for the average), and b_emp read 0.06734502469019077
     calls = []
     kernel = hardness.kernels.hard_probe_rows
     monkeypatch.setattr(hardness.kernels, "hard_probe_rows",
                         lambda *a: calls.append(1) or kernel(*a))
     assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "3",
                      "--seed", "5", "--t", "100"]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert capsys.readouterr().out == (
         "f0=4.384765625\nf1=4.333171253057967\ns_t=-0.05187622287537929\n"
-        "b_emp=0.06734502469019077\nmax_abs_fprime=0.0824455231065433\n"
+        "b_emp=0.06734502479151594\nmax_abs_fprime=0.0824455231065433\n"
         "fprime_bound=384.0\n"
     )
+
+
+@pytest.mark.parametrize("t", [1, 7, 20, 100, 250])
+def test_probe_prints_what_the_library_computes(capsys, t):
+    # s_t and b_emp come from one pass over the union of both grids; each
+    # matches the library function that evaluates its grid alone
+    assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "3",
+                     "--seed", "1", "--t", str(t)]) == 0
+    vals = dict(line.split("=") for line in capsys.readouterr().out.strip().split("\n"))
+    hi = hardness.make_hard_instance(8, 2, 3.0, 1)
+    assert vals["s_t"] == repr(hardness.avg_estimate(hi, t))
+    assert vals["b_emp"] == repr(hardness.empirical_second_derivative_bound(hi))
+
+
+def test_probe_rejects_t_below_one_before_the_kernel(capsys, monkeypatch):
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows", None)
+    for t in ("0", "-3"):
+        assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", "3", "--t", t]) == 1
+        assert "t must be at least 1" in capsys.readouterr().err
+
+
+def test_probe_memory_flat_in_t(monkeypatch, traced_peak):
+    # the averaging grid streams with the f'' grid: under the 2 MiB that
+    # bounds avg_estimate alone at the same t and blocks
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 1 << 14)
+    argv = ["probe", "--n", "8", "--d", "2", "--ba", "3", "--seed", "0", "--t", "20000"]
+    rc, peak = traced_peak(lambda: cli.main(argv))
+    assert rc == 0 and peak < 2 << 20
+
+
+@pytest.mark.parametrize("ba, rc", [(345, 0), (347, 0), (349, 2)])
+def test_probe_f_second_does_not_overflow_first(capsys, ba, rc):
+    # g'' = 2 (B.B + A.C) and h'' = 2 (s^2 + r u) exceed h by ~Ba^2: formed
+    # unnormalized they overflowed at Ba = 345, where f' and h still fit.
+    # At 349 h' = 2 r s itself overflows, as before f'' was analytic.
+    assert cli.main(["probe", "--n", "8", "--d", "2", "--ba", str(ba), "--seed", "0"]) == rc
+    assert ("probe: OK" in capsys.readouterr().err) == (rc == 0)
 
 
 def test_probe_large_ba_finite_or_rejected(capsys):
@@ -314,17 +353,24 @@ def test_probe_flat_curve_passes(argv, capsys):
 
 def test_probe_rounding_allowance_still_catches_an_averaging_error(capsys, monkeypatch):
     argv = ["probe", "--n", "8", "--d", "2", "--ba", "3", "--t", "100"]
-    avg = hardness.avg_estimate
+    sweep = hardness.sweep
+
+    def shifted(s_t):
+        def fake(hi, t, fixed=0):
+            st, grid = sweep(hi, t, fixed)
+            return s_t(hi, t, st), grid
+        return fake
+
     # seed 5: b_emp / t = 6.7e-4, and s_t off by 1e-3 fails
-    monkeypatch.setattr(hardness, "avg_estimate", lambda hi, t: avg(hi, t) + 1e-3)
+    monkeypatch.setattr(hardness, "sweep", shifted(lambda hi, t, st: st + 1e-3))
     assert cli.main(argv + ["--seed", "5"]) == 2
     assert "averaging error" in capsys.readouterr().err
     # seed 0: a gap 1e-9 relative past b_emp / t fails; the allowance is ~1e-13
     hi = hardness.make_hard_instance(8, 2, 3.0, 0)
     f0, f1 = hardness.curve(hi, [0.0, 1.0]).f
     b_emp = hardness.empirical_second_derivative_bound(hi)
-    monkeypatch.setattr(hardness, "avg_estimate",
-                        lambda hi, t: f1 - f0 + b_emp / t * (1 + 1e-9))
+    monkeypatch.setattr(hardness, "sweep",
+                        shifted(lambda hi, t, st: f1 - f0 + b_emp / t * (1 + 1e-9)))
     assert cli.main(argv + ["--seed", "0"]) == 2
     assert "averaging error" in capsys.readouterr().err
 

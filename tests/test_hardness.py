@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ def test_hard_instance_validation():
                         H=np.full((2, 4), 1.5), V=good.V)
     with pytest.raises(ValidationError, match="0 or 1"):
         tk.HardInstance(n=2, d=1, Ba=2.0, H=good.H, V=good.V + 0.5)
+    with pytest.raises(ValidationError, match="0 or 1"):
+        tk.HardInstance(n=2, d=1, Ba=2.0, H=good.H, V=np.where(good.V == 1.0, np.nan, 0.0))
 
 
 def test_f_uniform_all_ones():
@@ -125,13 +128,39 @@ def test_curve_blocks_match_one_batch(monkeypatch):
 
 def test_curve_scratch_is_one_block(traced_peak):
     # the kernel held two L x n x n^2 buffers and a transient third: 1.74 MiB
-    # traced over this grid, whose 202 lambdas are one block at n=8
+    # traced over the 202-lambda grid of the f'' central difference, one
+    # block at n=8; this 101-lambda f'' grid replaced it
     hi = tk.make_hard_instance(8, 2, 3.0, 0)
-    lams = np.linspace(0.0, 1.0, hardness._F2_POINTS)
-    grid = np.concatenate([lams + hardness._F2_STEP, lams - hardness._F2_STEP])
+    grid = np.arange(hardness.F2_INTERVALS + 1) / hardness.F2_INTERVALS
     assert grid.size <= exact.block_len(hi.H.size)
     _, peak = traced_peak(lambda: hardness.curve(hi, grid))
     assert peak <= 8 * exact._BLOCK_ENTRIES + (128 << 10)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ba", [1.5, 3.0, 10.0, 180.0])
+def test_f_second_matches_differenced_f_prime(n, d, ba):
+    # relative to max |f''| over the grid, as the central difference's own
+    # error at Ba = 180 is ~1e-6 of |f''| where f'' is small
+    hi = tk.make_hard_instance(n, d, ba, n + d)
+    lams = np.arange(hardness.F2_INTERVALS + 1) / hardness.F2_INTERVALS
+    step = 1e-5
+    fpp = hardness.curve(hi, lams).fpp
+    fd = (hardness.curve(hi, lams + step).fp - hardness.curve(hi, lams - step).fp) / (2 * step)
+    assert np.abs(fpp - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def test_f_second_finite_without_warnings():
+    # g'' = 2 (B.B + A.C) and h'' = 2 (s^2 + r u) exceed h by ~Ba^2; as
+    # row-normalized sums they stay finite wherever f' does
+    hi = tk.make_hard_instance(8, 2, 180.0, 0)
+    lams = np.arange(hardness.F2_INTERVALS + 1) / hardness.F2_INTERVALS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fpp = hardness.curve(hi, lams).fpp
+        b_emp = hardness.empirical_second_derivative_bound(hi)
+    assert np.isfinite(fpp).all() and b_emp == np.abs(fpp).max()
 
 
 @pytest.mark.parametrize("lams, shape", [([], "(0,)"), ([[0.1, 0.2]], "(1, 2)"),
@@ -154,6 +183,33 @@ def test_avg_estimate_streams_its_grid(monkeypatch):
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 6 * hi.H.size)
     for t, s_t in want.items():
         assert tk.avg_estimate(hi, t) == s_t
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 256])
+def test_sweep_evaluates_each_lambda_once(monkeypatch, block):
+    # the union of {k/t} and {j/fixed} in kernel blocks: each lambda once,
+    # in ascending order, and s_t and the fixed-grid curve bit for bit as
+    # when each grid is evaluated on its own
+    hi = tk.make_hard_instance(4, 2, 3.0, 5)
+    want_s = {t: tk.avg_estimate(hi, t) for t in (1, 3, 7, 20, 30)}
+    lams = np.arange(21) / 20
+    want_c = hardness.curve(hi, lams)
+    seen = []
+    kernel = hardness.kernels.hard_probe_rows
+    monkeypatch.setattr(hardness.kernels, "hard_probe_rows",
+                        lambda H, V, lams: seen.append(lams) or kernel(H, V, lams))
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", block * hi.H.size)
+    for t, s_t in want_s.items():
+        seen.clear()
+        got_s, got_c = hardness.sweep(hi, t, 20)
+        assert got_s == s_t
+        for a, b in zip(got_c, want_c):
+            assert np.array_equal(a, b)
+        lam = np.concatenate(seen)
+        assert max(len(x) for x in seen) <= block
+        union = np.union1d(np.arange(t) / t, lams)
+        assert np.array_equal(lam, union), t
+        assert len(seen) == -(-union.size // block)
 
 
 def test_avg_estimate_memory_flat_in_t(monkeypatch):

@@ -52,5 +52,5 @@ def test_hard_probe_rows_matches_loops():
             for lams in ([0.7], np.linspace(-1.0, 1.0, 9)):
                 got = kernels.hard_probe_rows(hi.H, hi.V, lams)
                 want = hard_probe_rows_loops(hi.H, hi.V, lams)
-                assert got.shape == (len(lams), n, 4)
+                assert got.shape == (len(lams), n, 6)
                 assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), (n, d, len(lams))
