@@ -8,12 +8,15 @@ are the specification.  :func:`grad_fast` calls none of them and builds no
 factor triple; it computes the same contractions in five stages:
 
 - ``feature_map``: one raw monomial map Phi of the stacked rows
-  [K1; K2; Q/d], a k1 x 3n buffer.  The series weights c (the basis's
-  ``series_weights``) go on the k1-sized results below, never on an n x k1
-  array.
+  [K1; K2; Q/d], a k1 x 3n buffer.  Those rows are staged once, before R
+  and the degree, as one d x 3n buffer [K1^T | K2^T | Q^T / d] that R's
+  column maxima and the feature kernel both read in place.  The series
+  weights c (the basis's ``series_weights``) go on the k1-sized results
+  below, never on an n x k1 array.
 - ``key_contract``: one GEMM per key side, Phi(K1)^T against
   row_kron([A2 | 1], [A4 Y1 | 1]) and Phi(K2)^T against
-  row_kron([A3 | 1], [A5 Y2 | 1]).  Each yields that side's Pa and Pb
+  row_kron([A3 | 1], [A5 Y2 | 1]), both operands in one
+  2 x (d+1) x (d+1) x n buffer.  Each yields that side's Pa and Pb
   contractions, its half of the residual's middle factor
   mid = (V1^T V2) * (W1^T W2), which is also Pb's Gram, and its column
   sums.
@@ -28,14 +31,18 @@ factor triple; it computes the same contractions in five stages:
 No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
 the feature buffer, 3 n k1 entries; every other one is O(n d^2).  Nothing
 here traces allocations: the tests check that bound by tracing whole calls.
-``eps_target`` reads the W factors U2, A4 Y1 and A5 Y2 from arrays it holds.
-The report carries what the call chose (degree, ranks, R, ``eps_target``
-and the stage timings), not the caller's own eps echoed back.
+The report carries what the call chose (degree, ranks, R and the stage
+timings), not the caller's own eps echoed back.  A call does only the
+gradient's work: ``eps_target``, which nothing on the gradient path
+needs, is computed when the report's reader first asks for it, from the
+caller's instance and two floats the report holds.  No array the call
+allocated outlives it.
 """
 
+import functools
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +50,6 @@ from . import kernels, lowrank
 from .errors import NumericalError, ValidationError
 from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
     RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max, f_degree,
-    softmax_arg_bound,
 )
 from .tensorops import row_kron
 
@@ -60,13 +66,19 @@ class FastGradientReport:
     from.  ``arg_bound`` is the bound R on the softmax arguments
     (:func:`~tatkit.lowrank.softmax_arg_bound`), and ``degree`` is
     ``choose_degree(arg_bound, eps / 2)``: half of the caller's eps goes to
-    the attention factors.  ``eps_target`` is a worst-case runtime bound on
-    the gradient error, derived from that eps / 2, n and the instance
-    magnitudes, not the degree or R.  It is very loose: 135 against a
-    measured max error of 2.3e-13 at eps 1e-6 on
-    ``random_instance(64, 2, 0.8, 1)``.  ``stage_timings`` holds the
-    seconds spent in each stage of the module docstring: ``feature_map``,
-    ``key_contract``, ``residual_u2``, ``query_contract`` and ``assemble``.
+    the attention factors.  ``stage_timings`` holds the seconds spent in
+    each stage of the module docstring: ``feature_map``, ``key_contract``,
+    ``residual_u2``, ``query_contract`` and ``assemble``.
+
+    ``eps_target`` is computed when first read, then kept.  It is a
+    worst-case runtime bound on the gradient error, derived from that
+    eps / 2, n and the instance magnitudes, not the degree or R.  It is very
+    loose: 135 against a measured max error of 2.3e-13 at eps 1e-6 on
+    ``random_instance(64, 2, 0.8, 1)``.  For it the report holds the
+    caller's instance, eps / 2 and max |U2| (``_budget``), and no array the
+    call allocated; the W factors A4 Y1 and A5 Y2 are projected again on
+    that first read.  So the value reflects the instance's arrays as they
+    are at that read: writing into them in place first changes it.
     """
 
     g_tilde: np.ndarray
@@ -77,8 +89,12 @@ class FastGradientReport:
     k5: int
     degree: int
     arg_bound: float
-    eps_target: float
     stage_timings: dict
+    _budget: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def eps_target(self):
+        return _error_budget(*self._budget)
 
 
 def build_residual_U2(inst, f_factors):
@@ -139,16 +155,17 @@ def build_Pb_factors(f_factors, w_factors):
     return triple, r_tilde
 
 
-def _error_budget(inst, eps_f, u2, v2, w2):
+def _error_budget(inst, eps_f, u2_max):
     # worst-case amplification of the entrywise F error through the pipeline;
     # rows of the (approximate) attention matrix sum to 1 and stay in (0, 1].
-    # u2, v2, w2 are the W factors (U2, A4 Y1, A5 Y2), and h_inf is
-    # max |col_kron(v2, w2)| without forming it: the largest column-max product
+    # u2_max is max |U2|, and h_inf is max |col_kron(A4 Y1, A5 Y2)| without
+    # forming it: the largest column-max product of the W factors
     n, d = inst.n, inst.d
+    _, _, _, v2, w2 = inst.projected()
     h_inf = float((col_abs_max(v2) * col_abs_max(w2)).max())
     delta_f = eps_f
     delta_v = min(2.0, n * n * delta_f) * h_inf
-    w_inf = d * (float(np.abs(u2).max()) + delta_v) * h_inf
+    w_inf = d * (u2_max + delta_v) * h_inf
     delta_w = d * delta_v * h_inf
     delta_pa = delta_w + delta_f * w_inf
     delta_r = delta_w + n * n * delta_f * w_inf
@@ -165,16 +182,18 @@ def _error_budget(inst, eps_f, u2, v2, w2):
 def grad_fast(inst, eps):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
-    The projections are computed once and shared by every stage.  The
-    degree, from the softmax-argument bound R, and the ranks k1 and
-    k3 = k1*d are fixed first, and an instance whose k1 or k3 is over
-    ``RANK_CAP`` is rejected with ``ValidationError`` before any factor is
-    allocated.  The stages are those of the module docstring; the result
-    matches the explicit factor builders within rounding.  A nonpositive or
-    non-finite row normalizer raises ``NumericalError``, and so does a
-    gradient whose last contraction overflows.
+    The projections are computed once and staged, as the rows of one
+    d x 3n buffer, for the bound R, the degree and the feature map.  The
+    degree and the ranks k1 and k3 = k1*d are fixed first, and an instance
+    whose k1 or k3 is over ``RANK_CAP`` is rejected with ``ValidationError``
+    before any factor is allocated.  The stages are those of the module
+    docstring; the result matches the explicit factor builders within
+    rounding.  An eps outside (0, 1), nan included, is rejected before any
+    projection.  A nonpositive or non-finite row normalizer raises
+    ``NumericalError``, and so does a gradient whose last contraction
+    overflows.
     """
-    if eps >= 1:
+    if not eps < 1:  # a nan fails too
         raise ValidationError(f"eps must be below 1, got {eps}")
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -185,9 +204,17 @@ def grad_fast(inst, eps):
         )
     n, d = inst.n, inst.d
     eps_f = eps / 2.0
-    proj = inst.projected()
-    q, kq1, kq2, v2, w2 = proj
-    arg_bound = softmax_arg_bound(q, kq1, kq2)
+    q, kq1, kq2, v2, w2 = inst.projected()
+    # [K1^T | K2^T | Q^T / d]: R and the feature map read these rows in place
+    rows = np.empty((d, 3 * n))
+    rows[:, :n] = kq1.T
+    rows[:, n:2 * n] = kq2.T
+    np.divide(q.T, d, out=rows[:, 2 * n:])
+    # R from the key sides' column maxima, as softmax_arg_bound forms it.
+    # Reductions here call the ufunc's reduce: ndarray.max and .sum add a
+    # Python-level wrapper call each, a fixed cost on every small call
+    key_max = np.maximum.reduce(np.abs(rows[:, :2 * n]).reshape(d, 2, n), axis=2)
+    arg_bound = float(np.maximum.reduce(lowrank.row_bounds(q, key_max[:, 0] * key_max[:, 1])))
     degree, k1 = f_degree(d, arg_bound, eps_f)
     k2 = d
     k3 = k1 * k2
@@ -201,57 +228,50 @@ def grad_fast(inst, eps):
     basis = lowrank.build_basis(d, degree)
     c = basis.series_weights
 
-    timings = {}
-    t = time.perf_counter()
-    rows = np.empty((3 * n, d))
-    rows[:n] = kq1
-    rows[n:2 * n] = kq2
-    np.divide(q, d, out=rows[2 * n:])
+    t0 = time.perf_counter()
     # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q/d) side by side
-    phi_t = lowrank.feature_map(rows, basis).T
+    phi_t = lowrank.feature_map(rows.T, basis).T
     del rows
-    timings["feature_map"] = time.perf_counter() - t
+    t1 = time.perf_counter()
 
     # each key side: Phi^T @ row_kron([A | 1], [V | 1]) read as [a, b, :]
     # over a, b <= d.  a, b < d is the Pa contraction, b = d the Pb
     # column A^T Phi, a = d the Gram V^T Phi and a = b = d the column sums
-    # of Phi.  Operands are built transposed, as rows of length n, so
-    # every write is contiguous.
-    t = time.perf_counter()
-    key = []
-    for a, v, phi_side in ((inst.A2, v2, phi_t[:, :n]),
-                           (inst.A3, w2, phi_t[:, n:2 * n])):
-        key_op = np.empty((d + 1, d + 1, n))
-        np.multiply(a.T[:, None, :], v.T[None, :, :], out=key_op[:d, :d])
-        key_op[:d, d] = a.T
-        key_op[d, :d] = v.T
-        key_op[d, d] = 1.0
-        contracted = phi_side @ key_op.reshape(-1, n).T
-        key.append(contracted.T.reshape(d + 1, d + 1, k1))
-    g2 = key[0][:d].reshape(d, -1)
-    g3 = key[1][:d].reshape(d, -1)
+    # of Phi.  Both sides' operands share one buffer of rows of length n,
+    # and the products are formed from its own A and V rows.
+    ops = np.empty((2, d + 1, d + 1, n))
+    ops[0, :d, d] = inst.A2.T
+    ops[1, :d, d] = inst.A3.T
+    ops[0, d, :d] = v2.T
+    ops[1, d, :d] = w2.T
+    ops[:, d, d] = 1.0
+    np.multiply(ops[:, :d, d:], ops[:, d:, :d], out=ops[:, :d, :d])
+    phi_keys = phi_t[:, :2 * n].reshape(k1, 2, n).transpose(1, 0, 2)
+    key = (phi_keys @ ops.reshape(2, -1, n).transpose(0, 2, 1)).transpose(0, 2, 1)
+    key = key.reshape(2, d + 1, d + 1, k1)
+    del ops
+    g2 = key[0, :d].reshape(d, -1)
+    g3 = key[1, :d].reshape(d, -1)
     # c * [mid^T ; s]: mid = (V1^T V2) * (W1^T W2) is the residual's
     # middle factor and Pb's Gram alike, s the column sums behind the row
     # normalizer
-    weighted = key[0][d] * key[1][d]
+    weighted = key[0, d] * key[1, d]
     weighted *= c
-    timings["key_contract"] = time.perf_counter() - t
+    t2 = time.perf_counter()
 
     # [Y^T ; 1] * d_tilde in one GEMM, Y = U1 @ mid the attention output
-    t = time.perf_counter()
     phi_q_t = phi_t[:, 2 * n:]
     yd = weighted @ phi_q_t
     d_tilde = yd[d]
     check_row_normalizer(d_tilde)
     y_t = yd[:d] / d_tilde
     u2_t = y_t - inst.E.T
-    r_tilde = (y_t * u2_t).sum(axis=0)
-    timings["residual_u2"] = time.perf_counter() - t
+    r_tilde = np.add.reduce(y_t * u2_t, axis=0)
+    t3 = time.perf_counter()
 
     # query side: Phi(Q/d)^T @ row_kron(A1, [U2 | -R] / d_tilde), times
     # c, is [Pa | -Pb] contracted against A1, with
     # U1 = Phi(Q/d) diag(c) / d_tilde
-    t = time.perf_counter()
     z = np.empty((d + 1, n))
     np.divide(u2_t, d_tilde, out=z[:d])
     np.divide(r_tilde, d_tilde, out=z[d])
@@ -260,25 +280,27 @@ def grad_fast(inst, eps):
     np.multiply(inst.A1.T[:, None, :], z[None, :, :], out=query_op)
     g1 = (phi_q_t @ query_op.reshape(-1, n).T).T * c
     g1 = g1.reshape(d, -1)
-    timings["query_contract"] = time.perf_counter() - t
+    t4 = time.perf_counter()
 
-    t = time.perf_counter()
     # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.
     # The Pa columns k run over (W column, F column) pairs, the reverse
-    # of build_Pa_factors' order; the sum does not see the order.
+    # of build_Pa_factors' order; the sum does not see the order.  einsum
+    # writes g12 directly, where a broadcast multiply is no faster and
+    # has numpy's iterator buffer both inputs at the size of the output.
     g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         g_tilde = (g12 @ g3.T).reshape(d, d * d) / d
     if not np.isfinite(g_tilde).all():
         raise NumericalError("non-finite gradient: the last contraction overflowed")
-    timings["assemble"] = time.perf_counter() - t
+    t5 = time.perf_counter()
 
-    eps_target = _error_budget(inst, eps_f, u2_t.T, v2, w2)
     return FastGradientReport(
         g_tilde=g_tilde,
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
         degree=degree,
         arg_bound=arg_bound,
-        eps_target=eps_target,
-        stage_timings=timings,
+        stage_timings={"feature_map": t1 - t0, "key_contract": t2 - t1,
+                       "residual_u2": t3 - t2, "query_contract": t4 - t3,
+                       "assemble": t5 - t4},
+        _budget=(inst, eps_f, float(np.maximum.reduce(np.abs(u2_t), axis=None))),
     )

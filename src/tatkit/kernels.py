@@ -22,7 +22,9 @@ def feature_rows(M, size, blocks):
     than the n x k output.
 
     The result is the transpose of a k x n buffer, so each block is a run of
-    whole rows of that buffer.
+    whole rows of that buffer.  ``M`` is read as d rows of length n: when
+    ``M.T`` is C-contiguous, as for the rows ``fastgrad.grad_fast`` stages,
+    those rows are used in place, and any other layout is copied once.
     """
     mt = np.ascontiguousarray(M.T)
     out = np.empty((size, M.shape[0]))

@@ -2,8 +2,12 @@
 
 Everything here is written with explicit loops straight from the defining
 formulas, deliberately sharing no code path with the library's vectorized
-implementations.  The one exception is ``feature_rows_gather``, the earlier
-gather form of the feature recurrence, kept as a bit-exact reference.
+implementations.  Three exceptions are earlier forms of library code, kept
+as bit-exact references: ``feature_rows_gather``, the gather form of the
+feature recurrence; ``degree_by_search``, the degree search that
+``choose_degree`` answered every call with before its breakpoint lookup;
+and ``error_budget``, the arithmetic of ``eps_target`` as ``grad_fast``
+once computed it on every call.
 """
 
 import math
@@ -206,3 +210,47 @@ def hard_probe_rows_loops(H, V, lams):
                           2.0 * sum(z * z + y * w for y, z, w in zip(a, b, c)) / h,
                           2.0 * (s * s + r * u) / h)
     return out
+
+
+def degree_by_search(r, eps):
+    """The least degree g with e^r r^(g+1)/(g+1)! <= eps and below e^-r, by
+    doubling then bisection over g, the predicate evaluated in log space."""
+    log_eps = math.log(eps)
+
+    def ok(g):
+        lb = -math.inf if r == 0.0 else r + (g + 1) * math.log(r) - math.lgamma(g + 2)
+        return lb <= log_eps and lb < -r
+
+    if ok(0):
+        return 0
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def error_budget(inst, eps_f, u2, v2, w2):
+    """``eps_target`` from the W factors (U2, A4 Y1, A5 Y2) and eps / 2."""
+    n, d = inst.n, inst.d
+    h_inf = float((np.abs(v2).max(axis=0) * np.abs(w2).max(axis=0)).max())
+    delta_f = eps_f
+    delta_v = min(2.0, n * n * delta_f) * h_inf
+    w_inf = d * (float(np.abs(u2).max()) + delta_v) * h_inf
+    delta_w = d * delta_v * h_inf
+    delta_pa = delta_w + delta_f * w_inf
+    delta_r = delta_w + n * n * delta_f * w_inf
+    delta_pb = delta_r + delta_f * w_inf
+    delta_p = delta_pa + delta_pb
+    amp = (
+        float(np.abs(inst.A1).max())
+        * float(np.abs(inst.A2).max())
+        * float(np.abs(inst.A3).max())
+    )
+    return (n ** 3 / d) * amp * delta_p

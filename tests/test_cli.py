@@ -150,6 +150,20 @@ def test_check_pass_and_perturbation_hook(tmp_path, capsys, perturb_grad_fast):
     assert rc == 2
 
 
+def test_grad_fast_rejects_nan_eps_before_projecting(tmp_path, capsys, monkeypatch):
+    # a nan eps was rejected only inside choose_degree, after the projections
+    path = _gen(tmp_path)
+
+    def projected(self):
+        raise AssertionError("projected before eps was checked")
+
+    monkeypatch.setattr(tk.AttnInstance, "projected", projected)
+    assert cli.main(["grad", "--in", str(path), "--engine", "fast", "--eps", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error: eps must be below 1, got nan" in captured.err
+
+
 def test_check_rejects_nan_tol(tmp_path, capsys, perturb_grad_fast):
     # every comparison with a nan tol is false, so an engine off by 1.0 passed
     path = _gen(tmp_path)

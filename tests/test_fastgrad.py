@@ -1,3 +1,7 @@
+import collections
+import dataclasses
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 import tatkit as tk
 from tatkit import fastgrad, kernels, lowrank
 from tatkit.errors import NumericalError, ValidationError
+
+from oracles import error_budget
 
 
 def _with_target(inst, e):
@@ -244,6 +250,108 @@ def test_eps_validation_and_warning():
         tk.grad_fast(inst, -1e-3)
     with pytest.warns(UserWarning, match="rounding noise"):
         tk.grad_fast(inst, 1e-13)
+
+
+def test_eps_nan_rejected_before_projection(monkeypatch):
+    # a nan eps passed every comparison and was rejected only in
+    # choose_degree, after the projections and R
+    def projected(self):
+        raise AssertionError("projected before eps was checked")
+
+    inst = tk.random_instance(4, 2, 0.8, 0)
+    monkeypatch.setattr(tk.AttnInstance, "projected", projected)
+    with pytest.raises(ValidationError, match="eps must be below 1, got nan"):
+        tk.grad_fast(inst, math.nan)
+
+
+def _budget_cases():
+    # test_grad_fast_matches_explicit_factors' cases, n = 1 and the
+    # stationary instance of test_grad_fast_stationary_and_degenerate
+    cases = [(tk.random_instance(n, d, b, 100 + n + d), 1e-6)
+             for n, d, b in [(n, d, 0.8) for n in (8, 64) for d in (1, 2, 3, 4)]
+             + [(2048, 2, 0.8), (64, 3, 1.0)]]
+    cases.append((tk.random_instance(1, 3, 0.8, 4), 1e-8))
+    inst = tk.random_instance(6, 2, 0.7, 2)
+    cases.append((_with_target(inst, tk.forward(inst)), 1e-8))
+    return cases
+
+
+def test_eps_target_is_the_error_budget_bit_for_bit():
+    # the report holds the caller's instance and two floats, no array of
+    # the call; max|U2| is the fused U2's, within rounding of the builders'
+    for inst, eps in _budget_cases():
+        rep = tk.grad_fast(inst, eps)
+        held, eps_f, u2_max = rep._budget
+        assert held is inst and eps_f == eps / 2
+        assert type(u2_max) is float
+        _, _, _, v2, w2 = inst.projected()
+        want = error_budget(inst, eps / 2, np.array([[u2_max]]), v2, w2)
+        assert rep.eps_target == want, (inst.n, inst.d)
+        ff, _ = tk.build_F_factors(inst, eps / 2)
+        u2 = tk.build_residual_U2(inst, ff)
+        scale = max(1.0, float(np.abs(inst.E).max()))
+        assert abs(u2_max - float(np.abs(u2).max())) <= 1e-12 * scale, (inst.n, inst.d)
+
+
+def test_eps_target_computed_on_first_read_only(monkeypatch):
+    calls = []
+    budget = fastgrad._error_budget
+
+    def counted(*args):
+        calls.append(args)
+        return budget(*args)
+
+    monkeypatch.setattr(fastgrad, "_error_budget", counted)
+    rep = tk.grad_fast(tk.random_instance(8, 2, 0.8, 5), 1e-6)
+    assert len(calls) == 0
+    first = rep.eps_target
+    assert len(calls) == 1
+    assert rep.eps_target == first
+    assert len(calls) == 1
+
+
+def test_eps_target_after_replace():
+    inst = tk.random_instance(8, 2, 0.8, 5)
+    rep = tk.grad_fast(inst, 1e-6)
+    moved = dataclasses.replace(rep, g_tilde=rep.g_tilde + 1.0)
+    _, _, _, v2, w2 = inst.projected()
+    want = error_budget(inst, 0.5e-6, np.array([[rep._budget[2]]]), v2, w2)
+    assert moved.eps_target == want
+    assert rep.eps_target == want
+
+
+def _profile_events(fn, *args):
+    # the call and c_call events sys.setprofile sees while fn(*args) runs
+    events = collections.Counter()
+
+    def profile(frame, event, arg):
+        events[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return events["call"] + events["c_call"]
+
+
+# One warm grad_fast made 137 call and c_call events at (n, d) = (64, 3)
+# (52 call, 85 c_call) and 129 at (8, 2) (48, 81) before its fixed cost
+# was cut, and makes 65 at both now (21 call, 44 c_call), with numpy
+# 2.4.6 on CPython 3.11.7.  The count includes grad_fast's own call and
+# the c_call of sys.setprofile(None); 7 of the 65 are the assemble's
+# np.einsum, whose dispatcher is a generator.
+FIXED_COST_EVENTS = 72
+
+
+@pytest.mark.parametrize("n, d", [(64, 3), (8, 2)])
+def test_grad_fast_fixed_cost_events(n, d):
+    # a deterministic gate on per-call Python and C-call overhead: it does
+    # not depend on n, the degree or the machine's speed
+    inst = tk.random_instance(n, d, 0.8, 1)
+    tk.grad_fast(inst, 1e-6)
+    events = _profile_events(fastgrad.grad_fast, inst, 1e-6)
+    assert events <= FIXED_COST_EVENTS, events
 
 
 def test_report_contents():

@@ -44,6 +44,19 @@ def test_feature_map_matches_gather_bit_for_bit():
             assert np.array_equal(got, want), (d, g)
 
 
+def test_feature_map_reads_staged_rows_in_place(traced_peak):
+    # d x n rows passed as rows.T reach the kernel uncopied: a call
+    # allocates its k x n output and nothing n-long besides, and gives the
+    # bits of a C-ordered n x d input
+    n, d = 16384, 3
+    rows = np.random.default_rng(2).uniform(-1.0, 1.0, (d, n))
+    b = tk.build_basis(d, 2)
+    got, peak = traced_peak(lambda: tk.feature_map(rows.T, b))
+    assert np.array_equal(got, tk.feature_map(np.ascontiguousarray(rows.T), b))
+    out_bytes = 8 * n * b.size
+    assert out_bytes <= peak < out_bytes + 8 * n, (peak, out_bytes)
+
+
 def test_hard_probe_rows_matches_loops():
     # one lambda and a grid of many, negative lambdas included
     for n in (1, 2, 4, 8):
