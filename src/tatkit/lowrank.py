@@ -31,11 +31,8 @@ row normalizer is folded into the U factor, so the approximated attention
 rows sum to exactly 1.
 """
 
-import bisect
 import functools
 import math
-import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,79 +52,12 @@ def _log_remainder(r, g):
     return r + (g + 1) * math.log(r) - math.lgamma(g + 2)
 
 
-def _admits(r, g, log_eps):
-    # degree g meets the remainder target on [-r, r] and the positivity guard
-    lb = _log_remainder(r, g)
-    return lb <= log_eps and lb < -r
-
-
-def _search(r, log_eps):
-    # the least degree that admits r.  When g=0 fails, the admitting
-    # degrees are an upper ray (the remainder rises until g ~ r - 2 and
-    # falls after), so double then bisect
-    if _admits(r, 0, log_eps):
-        return 0
-    hi = 1
-    while not _admits(r, hi, log_eps):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _admits(r, mid, log_eps):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-_BITS = struct.Struct("<q")
-_DOUBLE = struct.Struct("<d")
-_INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
-CACHED_DEGREES = 64
-
-
-def _breakpoint(g, log_eps):
-    # the largest double r that degree g admits.  Nonnegative doubles are
-    # ordered as their bit patterns, and g admits 0 but not inf, so bisect
-    # on the patterns
-    lo, hi = 0, _INF_BITS
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _admits(_DOUBLE.unpack(_BITS.pack(mid))[0], g, log_eps):
-            lo = mid
-        else:
-            hi = mid
-    return _DOUBLE.unpack(_BITS.pack(lo))[0]
-
-
-@functools.lru_cache(maxsize=64)
-def _breakpoints(eps):
-    # entry g is the largest r that degree g admits at eps; choose_degree
-    # appends to the list as larger degrees are asked for
-    return []
-
-
-_GROW = threading.Lock()
-
-
 def choose_degree(r, eps):
     """Smallest truncation degree meeting the remainder target on [-r, r].
 
     Returns the least g with ``e^r r^(g+1)/(g+1)! <= eps`` that also keeps
     the remainder below ``e^-r`` (the positivity guard).  Always terminates:
     the factorial beats the power.
-
-    Most calls are a lookup.  For each eps a cached list holds one
-    breakpoint per degree, the largest double r that degree admits, and g
-    is the first entry not below r.  The lookup is exact in floating point.
-    For fixed g both tests are monotone in r, because ``log``, a positive
-    multiple and IEEE addition are; so the doubles g admits are exactly
-    [0, breakpoint].  And a degree that admits r has g + 2 > r, past the
-    remainder's peak, so every higher degree admits r too and the
-    breakpoints never decrease.  An r past the list is answered by a search
-    over degrees (doubling, then bisection), and the list then grows to
-    that degree, one bisection over the bit patterns of doubles per new
-    entry, unless the degree is ``CACHED_DEGREES`` or more.
     """
     if not math.isfinite(r):
         raise ValidationError(f"range must be finite, got {r}")
@@ -135,16 +65,27 @@ def choose_degree(r, eps):
         raise ValidationError(f"range must be nonnegative, got {r}")
     if not (0 < eps < 1):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    bps = _breakpoints(eps)
-    g = bisect.bisect_left(bps, r)
-    if g == len(bps):
-        log_eps = math.log(eps)
-        g = _search(r, log_eps)
-        if g < CACHED_DEGREES:
-            with _GROW:
-                while len(bps) <= g:
-                    bps.append(_breakpoint(len(bps), log_eps))
-    return g
+    log_eps = math.log(eps)
+
+    def ok(g):
+        lb = _log_remainder(r, g)
+        return lb <= log_eps and lb < -r
+
+    if ok(0):
+        return 0
+    # when g=0 fails, the feasible set is an upper ray (the remainder rises
+    # until g ~ r - 2 and falls after), so double then bisect
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _series_weight(denom, alpha):

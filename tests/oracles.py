@@ -2,12 +2,10 @@
 
 Everything here is written with explicit loops straight from the defining
 formulas, deliberately sharing no code path with the library's vectorized
-implementations.  Three exceptions are earlier forms of library code, kept
+implementations.  Two exceptions are earlier forms of library code, kept
 as bit-exact references: ``feature_rows_gather``, the gather form of the
-feature recurrence; ``degree_by_search``, the degree search that
-``choose_degree`` answered every call with before its breakpoint lookup;
-and ``error_budget``, the arithmetic of ``eps_target`` as ``grad_fast``
-once computed it on every call.
+feature recurrence, and ``error_budget``, the arithmetic of ``eps_target``
+as ``grad_fast`` once computed it on every call.
 """
 
 import math
@@ -210,30 +208,6 @@ def hard_probe_rows_loops(H, V, lams):
                           2.0 * sum(z * z + y * w for y, z, w in zip(a, b, c)) / h,
                           2.0 * (s * s + r * u) / h)
     return out
-
-
-def degree_by_search(r, eps):
-    """The least degree g with e^r r^(g+1)/(g+1)! <= eps and below e^-r, by
-    doubling then bisection over g, the predicate evaluated in log space."""
-    log_eps = math.log(eps)
-
-    def ok(g):
-        lb = -math.inf if r == 0.0 else r + (g + 1) * math.log(r) - math.lgamma(g + 2)
-        return lb <= log_eps and lb < -r
-
-    if ok(0):
-        return 0
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def error_budget(inst, eps_f, u2, v2, w2):

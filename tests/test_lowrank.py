@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -8,8 +6,6 @@ import pytest
 import tatkit as tk
 from tatkit import exact, lowrank
 from tatkit.errors import NumericalError, ValidationError
-
-from oracles import degree_by_search
 
 
 def _remainder(r, g):
@@ -46,71 +42,10 @@ def test_choose_degree_validation():
     for r in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite"):
             tk.choose_degree(r, 1e-6)
-    # a nan eps must not reach the per-eps breakpoint cache
+    # eps outside (0, 1), nan included
     for eps in (1.0, -1e-3, math.nan):
         with pytest.raises(ValidationError, match="eps must lie in"):
             tk.choose_degree(1.0, eps)
-
-
-@pytest.mark.parametrize("eps", [5e-5, 5e-7, 5e-9, 5e-13])
-def test_choose_degree_lookup_matches_search(eps):
-    # a dense sweep covers the cached degrees and, past CACHED_DEGREES, the
-    # search; each breakpoint is where the degree steps past its own
-    rs = np.concatenate([np.linspace(0.0, 20.0, 4001), np.geomspace(1e-300, 40.0, 800)])
-    degrees = [tk.choose_degree(r, eps) for r in rs.tolist()]
-    assert degrees == [degree_by_search(r, eps) for r in rs.tolist()]
-    assert max(degrees) > lowrank.CACHED_DEGREES
-    assert tk.choose_degree(0.0, eps) == 0
-    bps = list(lowrank._breakpoints(eps))
-    assert lowrank.CACHED_DEGREES - 8 < len(bps) <= lowrank.CACHED_DEGREES
-    assert bps == sorted(bps)
-    for g, b in enumerate(bps):
-        below, above = math.nextafter(b, -math.inf), math.nextafter(b, math.inf)
-        for r in (below, b, above):
-            if r >= 0:
-                assert tk.choose_degree(r, eps) == degree_by_search(r, eps), (g, r)
-        assert degree_by_search(b, eps) <= g < degree_by_search(above, eps), g
-
-
-def test_choose_degree_cache_grows_to_the_degree_asked_for():
-    eps = 5e-7
-    lowrank._breakpoints.cache_clear()
-    g, k1 = lowrank.f_degree(1, 700.0, eps)
-    assert g == degree_by_search(700.0, eps) and k1 == g + 1
-    assert len(lowrank._breakpoints(eps)) <= min(g + 1, lowrank.CACHED_DEGREES)
-    g = tk.choose_degree(1.0, eps)
-    assert len(lowrank._breakpoints(eps)) == g + 1
-    assert tk.choose_degree(0.5, eps) <= g
-    assert len(lowrank._breakpoints(eps)) == g + 1
-
-
-def test_choose_degree_cache_under_threads():
-    # four threads grow one eps's list at once; a lost or doubled append
-    # would shift every later degree by one
-    eps = 3e-7
-    lowrank._breakpoints.cache_clear()
-    rs = np.linspace(0.0, 8.0, 161).tolist()
-    want = [degree_by_search(r, eps) for r in rs]
-    got = {}
-
-    def work(i):
-        got[i] = [tk.choose_degree(r, eps) for r in (rs if i % 2 else rs[::-1])]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got[1] == got[3] == want and got[0] == got[2] == want[::-1]
-    bps = lowrank._breakpoints(eps)
-    assert len(bps) == max(want) + 1
-    assert bps == [lowrank._breakpoint(g, math.log(eps)) for g in range(len(bps))]
 
 
 def _series(x, g):
