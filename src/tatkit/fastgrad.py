@@ -35,11 +35,12 @@ The report carries what the call chose (degree, ranks, R and the stage
 timings), not the caller's own eps echoed back.  A call does only the
 gradient's work: ``eps_target``, which nothing on the gradient path
 needs, is computed when the report's reader first asks for it, from the
-caller's instance and two floats the report holds.  No array the call
-allocated outlives it.
+caller's instance, whose arrays are read-only, and two floats the report
+holds.  No array the call allocated outlives it.
 """
 
 import functools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ import numpy as np
 from . import kernels, lowrank
 from .errors import NumericalError, ValidationError
 from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
-    RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max, f_degree,
+    RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max,
 )
 from .tensorops import row_kron
 
@@ -63,10 +64,11 @@ class FastGradientReport:
     ``k1`` is the feature rank C(d+g, g) at ``degree`` g, ``k2`` = d the rank
     of W, ``k3`` = k1*d and ``k4`` = k1 the ranks of Pa and Pb, and ``k5``
     their sum, the length of the contractions the gradient is assembled
-    from.  ``arg_bound`` is the bound R on the softmax arguments
-    (:func:`~tatkit.lowrank.softmax_arg_bound`), and ``degree`` is
+    from.  ``arg_bound`` is the bound R on the softmax arguments, the largest
+    of :func:`~tatkit.lowrank.softmax_row_bounds`, and ``degree`` is
     ``choose_degree(arg_bound, eps / 2)``: half of the caller's eps goes to
-    the attention factors.  ``stage_timings`` holds the seconds spent in
+    the attention factors.  A reported call passed the one cap check,
+    k1*d <= ``RANK_CAP``.  ``stage_timings`` holds the seconds spent in
     each stage of the module docstring: ``feature_map``, ``key_contract``,
     ``residual_u2``, ``query_contract`` and ``assemble``.
 
@@ -77,8 +79,8 @@ class FastGradientReport:
     ``random_instance(64, 2, 0.8, 1)``.  For it the report holds the
     caller's instance, eps / 2 and max |U2| (``_budget``), and no array the
     call allocated; the W factors A4 Y1 and A5 Y2 are projected again on
-    that first read.  So the value reflects the instance's arrays as they
-    are at that read: writing into them in place first changes it.
+    that first read.  The instance's arrays are read-only, so the value is
+    fixed when the call returns.
     """
 
     g_tilde: np.ndarray
@@ -183,9 +185,11 @@ def grad_fast(inst, eps):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
     The projections are computed once and staged, as the rows of one
-    d x 3n buffer, for the bound R, the degree and the feature map.  The
-    degree and the ranks k1 and k3 = k1*d are fixed first, and an instance
-    whose k1 or k3 is over ``RANK_CAP`` is rejected with ``ValidationError``
+    d x 3n buffer, for the bound R, the degree and the feature map.  R is
+    the largest of ``lowrank.softmax_row_bounds``, and the degree is
+    ``lowrank.choose_degree(R, eps / 2)``.  The ranks k1 = C(d+g, g) and
+    k3 = k1*d are fixed next, and an instance whose k3 is over ``RANK_CAP``
+    (so any whose k1 is) is rejected with ``ValidationError`` by one check,
     before any factor is allocated.  The stages are those of the module
     docstring; the result matches the explicit factor builders within
     rounding.  An eps outside (0, 1), nan included, is rejected before any
@@ -210,14 +214,16 @@ def grad_fast(inst, eps):
     rows[:, :n] = kq1.T
     rows[:, n:2 * n] = kq2.T
     np.divide(q.T, d, out=rows[:, 2 * n:])
-    # R from the key sides' column maxima, as softmax_arg_bound forms it.
+    # R from the key sides' column maxima, as softmax_row_bounds forms it.
     # Reductions here call the ufunc's reduce: ndarray.max and .sum add a
     # Python-level wrapper call each, a fixed cost on every small call
     key_max = np.maximum.reduce(np.abs(rows[:, :2 * n]).reshape(d, 2, n), axis=2)
     arg_bound = float(np.maximum.reduce(lowrank.row_bounds(q, key_max[:, 0] * key_max[:, 1])))
-    degree, k1 = f_degree(d, arg_bound, eps_f)
+    degree = lowrank.choose_degree(arg_bound, eps_f)
+    k1 = math.comb(d + degree, degree)
     k2 = d
     k3 = k1 * k2
+    # the one cap check: k1*d <= RANK_CAP also holds k1 within it, since d >= 1
     if k3 > RANK_CAP:
         raise ValidationError(
             f"degree g={degree} gives Pa rank k1*d = {k3}, over the cap {RANK_CAP}; "

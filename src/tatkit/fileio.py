@@ -84,6 +84,7 @@ def parse_instance(text):
                     _fail(ln, f"{name} row {r + 1}: non-finite value {tok!r}")
                 block.append(v)
         blocks[name] = np.array(block).reshape(rows, cols)
+        blocks[name].flags.writeable = False  # fresh: the instance keeps it uncopied
     if pos != len(lines):
         _fail(pos + 1, f"trailing content after the {MATRIX_FIELDS[-1]} block")
     return AttnInstance(n=n, d=d, **blocks)

@@ -24,6 +24,11 @@ class AttnInstance:
     projections and Y1, Y2 the value projection, all d x d.  The composite
     query-side variable is ``X = X1 @ (X2.T rowkron X3.T)`` of shape d x d^2;
     gradients are taken with respect to this X.
+
+    Every block is a read-only, C-ordered float64 array, converted once.  A
+    block passed in as a read-only array is kept when it already has that
+    form; any other is copied first, so no later write of the caller's
+    reaches the instance or a report that holds it.
     """
 
     n: int
@@ -44,7 +49,12 @@ class AttnInstance:
         if self.n < 1 or self.d < 1:
             raise ValidationError(f"n and d must be positive, got n={self.n} d={self.d}")
         for name in MATRIX_FIELDS:
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            a = getattr(self, name)
+            if isinstance(a, np.ndarray) and not a.flags.writeable:
+                a = np.ascontiguousarray(a, dtype=np.float64)
+            else:
+                a = np.array(a, dtype=np.float64, order="C")
+            a.flags.writeable = False
             object.__setattr__(self, name, a)
             want = matrix_shape(name, self.n, self.d)
             if a.shape != want:
@@ -81,7 +91,8 @@ def random_instance(n, d, bound, seed):
     Uses the Philox generator of :func:`philox` keyed by ``seed``, drawing the
     blocks in the fixed order A1 A2 A3 A4 A5 E X1 X2 X3 Y1 Y2 (row-major
     within each block), so the same seed yields the same bytes on every
-    platform.
+    platform.  The fresh blocks are handed over read-only, so the instance
+    keeps them without a copy.
     """
     if n < 1 or d < 1:
         raise ValidationError(f"n and d must be positive, got n={n} d={d}")
@@ -91,4 +102,5 @@ def random_instance(n, d, bound, seed):
     blocks = {}
     for name in MATRIX_FIELDS:
         blocks[name] = rng.uniform(-bound, bound, size=matrix_shape(name, n, d))
+        blocks[name].flags.writeable = False
     return AttnInstance(n=n, d=d, **blocks)

@@ -19,16 +19,18 @@ monomials.  The weights have two readers, both on the query side:
 its k1-sized contractions.  The raw key-side V, W make ``col_kron(V, W)``
 rows equal raw monomials of k1_j * k2_l.
 
-The argument range [-R, R] comes from the row bounds of
+The argument range [-R, R] is the largest of the row bounds of
 :func:`softmax_row_bounds`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
-max_l |k2_l,a| (:func:`softmax_arg_bound`), which dominates every
-|<q_j0, k1_j * k2_l>| / d.  The exact engine checks the same R against its
-exp limit and shifts row j0's scores by r[j0].  The degree is chosen from
-the Lagrange remainder ``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra
-requirement that the remainder be below ``e^-R`` so every approximated
-attention weight stays positive and the row normalizer cannot vanish.  The
-row normalizer is folded into the U factor, so the approximated attention
-rows sum to exactly 1.
+max_l |k2_l,a|, which dominates every |<q_j0, k1_j * k2_l>| / d.  The exact
+engine checks the same R against its exp limit and shifts row j0's scores
+by r[j0].  The degree is ``choose_degree(R, eps)``: the Lagrange remainder
+``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra requirement that the
+remainder be below ``e^-R`` so every approximated attention weight stays
+positive and the row normalizer cannot vanish.  The degree fixes the rank
+k1 = C(d+g, g), and ``RANK_CAP`` rejects the rest before anything is
+allocated: ``MonomialBasis`` checks k1 and ``fastgrad.grad_fast`` checks
+k1*d, once.  The row normalizer is folded into the U factor, so the
+approximated attention rows sum to exactly 1.
 """
 
 import functools
@@ -270,7 +272,9 @@ def softmax_row_bounds(q, k1, k2):
 
     r[j0] = sum_a |q_j0,a| * max_j |k1_j,a| * max_l |k2_l,a| / d: each term
     of the inner product is bounded by its column maxima on the key sides.
-    Costs O(n d) and never forms a key pair.
+    Costs O(n d) and never forms a key pair.  The bound R on every argument
+    is ``float(r.max())``; division by d is monotone, so R has the bits of
+    the row max taken before dividing.
     """
     return row_bounds(q, col_abs_max(k1) * col_abs_max(k2))
 
@@ -287,34 +291,6 @@ def row_bounds(q, key_max):
     return r
 
 
-def softmax_arg_bound(q, k1, k2):
-    """Bound R on every softmax argument |<q_j0, k1_j * k2_l>| / d.
-
-    R is the largest of :func:`softmax_row_bounds`.  Division by d is
-    monotone, so R has the bits of the row max taken before dividing.
-    """
-    return float(softmax_row_bounds(q, k1, k2).max())
-
-
-def f_degree(d, r, eps):
-    """Degree g and rank k1 = C(d+g, g) of the attention factors at ``eps``.
-
-    ``r`` bounds every softmax argument in absolute value (see
-    :func:`softmax_arg_bound`); the degree follows from :func:`choose_degree`
-    on [-r, r].  Raises ``ValidationError`` when k1 is over ``RANK_CAP``.
-    Allocates nothing, so callers can admit or reject an instance before any
-    feature map exists.
-    """
-    g = choose_degree(r, eps)
-    size = math.comb(d + g, g)
-    if size > RANK_CAP:
-        raise ValidationError(
-            f"required degree g={g} gives rank k1={size}, over the cap {RANK_CAP}; "
-            f"loosen eps or shrink the entry bound"
-        )
-    return g, size
-
-
 def check_row_normalizer(d_tilde):
     """Raise ``NumericalError`` unless every row normalizer is positive and finite."""
     if not (np.isfinite(d_tilde) & (d_tilde > 0)).all():
@@ -326,14 +302,14 @@ def build_F_factors(inst, eps):
     """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
 
     Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The degree comes from :func:`f_degree` on the bound R of
-    :func:`softmax_arg_bound`.  U1 carries the series weights, V1 and W1 are
-    raw.  The materialized product is entrywise within ``eps`` of the exact
-    attention matrix.
+    into U1.  The degree is :func:`choose_degree` at R, the largest of
+    :func:`softmax_row_bounds`; a basis whose rank k1 is over ``RANK_CAP``
+    is rejected by ``MonomialBasis`` before any array is allocated.  U1
+    carries the series weights, V1 and W1 are raw.  The materialized product
+    is entrywise within ``eps`` of the exact attention matrix.
     """
     q, k1, k2, _, _ = inst.projected()
-    g, _ = f_degree(inst.d, softmax_arg_bound(q, k1, k2), eps)
-    basis = build_basis(inst.d, g)
+    basis = build_basis(inst.d, choose_degree(float(softmax_row_bounds(q, k1, k2).max()), eps))
     u_raw = feature_map(q / inst.d, basis)
     u_raw *= basis.series_weights
     v1 = feature_map(k1, basis)

@@ -455,7 +455,7 @@ def test_blocked_shift_at_the_switch(r_max, folded, monkeypatch):
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
     base = _instance(13, 2, 8)
     q, k1, k2, _, _ = base.projected()
-    scale = r_max / tk.lowrank.softmax_arg_bound(q, k1, k2)
+    scale = r_max / float(tk.lowrank.softmax_row_bounds(q, k1, k2).max())
     inst = tk.AttnInstance(n=13, d=2, **{k: getattr(base, k) for k in (
         "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")}, A1=scale * base.A1)
     want = _dense_grad(inst)

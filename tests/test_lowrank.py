@@ -249,7 +249,7 @@ def test_build_f_factors_error_contract():
 
 def _arg_bound(inst):
     q, k1, k2, _, _ = inst.projected()
-    return lowrank.softmax_arg_bound(q, k1, k2)
+    return float(lowrank.softmax_row_bounds(q, k1, k2).max())
 
 
 def test_build_f_factors_rank_law_and_row_sums():
@@ -321,7 +321,7 @@ def test_softmax_row_bounds_bound_each_row():
     for inst in _bound_cases():
         q, k1, k2, _, _ = inst.projected()
         rows = lowrank.softmax_row_bounds(q, k1, k2)
-        r = lowrank.softmax_arg_bound(q, k1, k2)
+        r = float(rows.max())
         assert r == rows.max()
         c = lowrank.col_abs_max(k1) * lowrank.col_abs_max(k2)
         assert r == float((np.abs(q) @ c).max()) / inst.d

@@ -56,6 +56,35 @@ def test_module_imports_are_used():
     assert not unused, f"module-level imports never read: {unused}"
 
 
+def test_private_helpers_are_read():
+    # every module-level _name (function, class or constant) of tatkit is
+    # read somewhere in tatkit, as a name or as a module attribute: no
+    # private helper outlives its last caller
+    defined, read = {}, set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{os.path.basename(path)}:{stmt.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    orphans = [f"{site} {name}" for name, site in defined.items() if name not in read]
+    assert not orphans, f"private module-level names never read: {orphans}"
+
+
 def test_exp_limit_is_compared_once():
     # every dense stream (the exact engine, the FD oracle, the hard-curve
     # probe) calls exact.check_exp_limit instead of spelling its own test
