@@ -4,13 +4,14 @@ Every softmax argument is computed, so the engine is cubic in n and guarded
 by a sequence cap.  It serves as the ground-truth oracle for the low-rank
 engine.  Every path is admitted once per call by ``_admit``: the cap check
 and one exp-limit check of R, the largest of the per-row bounds r
-(``lowrank.softmax_row_bounds``) on the softmax arguments.  ``forward``,
-``loss`` and ``grad_exact`` share one kernel, ``_moments``.  It forms the
-unnormalized attention weights of b = ``block_len(n^2)`` query rows at a
-time, exp(s - r[j0]) straight from the score GEMM when 4 R is within the
-exp limit (a row max past it), and reads each block once, by two Kronecker
-contractions (over l, then over j) against [1 | V] and [1 | A] operands.
-Per query row it keeps a (d+1)^3 moment tensor, from which the forward row
+(``lowrank.row_bounds`` of the projections' buffer) on the softmax
+arguments.  ``forward``, ``loss`` and ``grad_exact`` share one kernel,
+``_moments``.  It forms the unnormalized attention weights of
+b = ``block_len(n^2)`` query rows at a time, exp(s - r[j0]) straight from
+the score GEMM when 4 R is within the exp limit (a row max past it), and
+reads each block once, by two Kronecker contractions (over l, then over
+j) against the two key sides of ``lowrank.key_operands``, which the fast
+engine reads too.  Per query row it keeps a (d+1)^3 moment tensor, from which the forward row
 and the gradient row are read, so the forward rows of ``forward`` and
 ``grad_exact`` are the same bits.  No n x n^2 matrix exists besides one
 block of weights.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lowrank
 from .errors import NumericalError, ValidationError
-from .lowrank import softmax_row_bounds
 from .tensorops import col_kron
 
 DEFAULT_EXACT_CAP = 256
@@ -92,13 +93,13 @@ def block_len(item_entries):
 def _admit(inst):
     """The projections (Q, K1, K2, V1, V2) and the row bounds r, after the checks.
 
-    r is ``softmax_row_bounds`` of the projections: row j0's scores lie in
-    [-r[j0], r[j0]].  The cap is checked first, then R = max r against the
-    exp limit.
+    r is ``lowrank.row_bounds`` of the projections' buffer: row j0's scores
+    lie in [-r[j0], r[j0]].  The cap is checked first, then R = max r
+    against the exp limit.
     """
     _check_cap(inst.n)
     proj = inst.projected()
-    r = softmax_row_bounds(*proj[:3])
+    r = lowrank.row_bounds(proj[0].base[:, :3 * inst.n], inst.n)[0]
     check_exp_limit("softmax argument bound", float(r.max()))
     return proj, r
 
@@ -174,18 +175,18 @@ def _moments(inst):
     instance with score -400 would give 0 / 0).  The block is then read once:
     stage 1 contracts l, w @ row_kron(V2', A3') with an n x (d+1)^2
     operand; stage 2 contracts j against row_kron(V1', A2'), one matmul
-    batched over (j0, b).  No BLAS call exceeds ``_GEMM_MACS`` multiply-adds
-    (see ``_matmul_rows``).  Nothing else is of size n^2.
+    batched over (j0, b).  Both are sides of ``lowrank.key_operands``.  No
+    BLAS call exceeds ``_GEMM_MACS`` multiply-adds (see ``_matmul_rows``).
+    Nothing else is of size n^2.
     """
     n, d = inst.n, inst.d
     (q, k1, k2, v1, v2), r = _admit(inst)
     fold = _within_exp_limit(4.0 * float(r.max()))  # c = r, else c = 0 and a row max
     d1 = d + 1  # columns of [1 | M]
-    aug = np.empty((4, n, d1))  # V2', A3', V1', A2'
-    aug[:, :, 0] = 1.0
-    aug[:, :, 1:] = (v2, inst.A3, v1, inst.A2)
-    over_l = (aug[0, :, :, None] * aug[1, :, None, :]).reshape(n, d1 * d1)  # (l, (b, f))
-    over_j = (aug[2, :, :, None] * aug[3, :, None, :]).transpose(1, 2, 0)  # (b, e, j)
+    over_j, over_l = lowrank.key_operands(inst, v1, v2)  # (b, e, j) and (b, f, l)
+    # stage 1 reads side 1 as (l, (b, f)) in C order: one-thread OpenBLAS
+    # ran the chunked GEMM ~2x slower against the transposed view
+    over_l = np.ascontiguousarray(over_l.reshape(d1 * d1, n).T)
     keys = np.empty((d1, n))  # [K2.T / d ; 1]
     np.divide(k2.T, d, out=keys[:d])
     keys[d] = 1.0

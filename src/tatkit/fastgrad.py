@@ -7,36 +7,33 @@ contracted against A1, A2 and A3.  The builders ``build_residual_U2``,
 are the specification.  :func:`grad_fast` calls none of them and builds no
 factor triple; it computes the same contractions in five stages:
 
-- ``feature_map``: one raw monomial map Phi of the stacked rows
-  [K1; K2; Q/d], a k1 x 3n buffer.  Those rows are staged once, before R
-  and the degree, as one d x 3n buffer [K1^T | K2^T | Q^T / d] that R's
-  column maxima and the feature kernel both read in place.  The series
-  weights c (the basis's ``series_weights``) go on the k1-sized results
-  below, never on an n x k1 array.
-- ``key_contract``: one GEMM per key side, Phi(K1)^T against
-  row_kron([A2 | 1], [A4 Y1 | 1]) and Phi(K2)^T against
-  row_kron([A3 | 1], [A5 Y2 | 1]), both operands in one
-  2 x (d+1) x (d+1) x n buffer.  Each yields that side's Pa and Pb
+- ``feature_map``: one raw monomial map Phi of [K1; K2; Q], a k1 x 3n
+  buffer, read in place from the first three blocks of the projections'
+  buffer once one multiply has divided each column by its maximum where
+  that exceeds 1.  No feature then exceeds 1 in size, so none overflows;
+  the weights c = prod_a (s_a / d)^alpha_a / alpha!, s_a the product of
+  variable a's three divisors, are formed in log space and go on k1-sized
+  results only.
+- ``key_contract``: one GEMM per key side, Phi(K1) and Phi(K2) against
+  the two sides of ``lowrank.key_operands``, row_kron([1 | A4 Y1], [1 | A2])
+  and row_kron([1 | A5 Y2], [1 | A3]).  Each yields that side's Pa and Pb
   contractions, its half of the residual's middle factor
   mid = (V1^T V2) * (W1^T W2), which is also Pb's Gram, and its column
   sums.
-- ``residual_u2``: one GEMM of Phi(Q/d)^T against c * [mid | s] gives the
+- ``residual_u2``: one GEMM of c * [s ; mid^T] against Phi(Q)^T gives the
   row normalizer d~ and Y = U1 @ mid; then U2 = Y - E and
   R~ = rowsum(Y * U2).
-- ``query_contract``: one GEMM of Phi(Q/d)^T against
-  row_kron(A1, [U2 | -R~] / d~), times c, gives the A1 side of Pa and Pb.
-  U1 = Phi(Q/d) diag(c) / d~ is never formed.
+- ``query_contract``: one GEMM of Phi(Q)^T against
+  row_kron(A1, [-R~ | U2] / d~), times c, gives the A1 side of Pb and Pa.
+  U1 = Phi(Q) diag(c) / d~ is never formed.
 - ``assemble``: the d x d^2 gradient from the three d x k5 contractions.
 
 No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
-the feature buffer, 3 n k1 entries; every other one is O(n d^2).  Nothing
-here traces allocations: the tests check that bound by tracing whole calls.
-The report carries what the call chose (degree, ranks, R and the stage
-timings), not the caller's own eps echoed back.  A call does only the
-gradient's work: ``eps_target``, which nothing on the gradient path
-needs, is computed when the report's reader first asks for it, from the
-caller's instance, whose arrays are read-only, and two floats the report
-holds.  No array the call allocated outlives it.
+the feature buffer, 3 n k1 entries; every other one is O(n d^2).  The report
+carries what the call chose (degree, ranks, R and the stage timings);
+``eps_target``, which nothing on the gradient path needs, is computed when
+the report's reader first asks for it.  No array the call allocated
+outlives it.
 """
 
 import functools
@@ -50,7 +47,7 @@ import numpy as np
 from . import kernels, lowrank
 from .errors import NumericalError, ValidationError
 from .lowrank import (  # noqa: F401  (build_F_factors: the specification, kept importable here)
-    RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer, col_abs_max,
+    RANK_CAP, LowRankTriple, build_F_factors, check_row_normalizer,
 )
 from .tensorops import row_kron
 
@@ -65,22 +62,20 @@ class FastGradientReport:
     of W, ``k3`` = k1*d and ``k4`` = k1 the ranks of Pa and Pb, and ``k5``
     their sum, the length of the contractions the gradient is assembled
     from.  ``arg_bound`` is the bound R on the softmax arguments, the largest
-    of :func:`~tatkit.lowrank.softmax_row_bounds`, and ``degree`` is
+    row bound of :func:`~tatkit.lowrank.row_bounds`, and ``degree`` is
     ``choose_degree(arg_bound, eps / 2)``: half of the caller's eps goes to
     the attention factors.  A reported call passed the one cap check,
     k1*d <= ``RANK_CAP``.  ``stage_timings`` holds the seconds spent in
     each stage of the module docstring: ``feature_map``, ``key_contract``,
     ``residual_u2``, ``query_contract`` and ``assemble``.
 
-    ``eps_target`` is computed when first read, then kept.  It is a
-    worst-case runtime bound on the gradient error, derived from that
-    eps / 2, n and the instance magnitudes, not the degree or R.  It is very
-    loose: 135 against a measured max error of 2.3e-13 at eps 1e-6 on
-    ``random_instance(64, 2, 0.8, 1)``.  For it the report holds the
-    caller's instance, eps / 2 and max |U2| (``_budget``), and no array the
-    call allocated; the W factors A4 Y1 and A5 Y2 are projected again on
-    that first read.  The instance's arrays are read-only, so the value is
-    fixed when the call returns.
+    ``eps_target`` is computed when first read, then kept: a worst-case
+    bound on the gradient error from that eps / 2, n and the instance
+    magnitudes, not the degree or R, and very loose (135 against a measured
+    max error of 2.3e-13 at eps 1e-6 on ``random_instance(64, 2, 0.8, 1)``).
+    For it the report holds the caller's instance, whose arrays are
+    read-only, eps / 2 and max |U2| (``_budget``), and no array the call
+    allocated; the instance is projected again on that first read.
     """
 
     g_tilde: np.ndarray
@@ -161,10 +156,10 @@ def _error_budget(inst, eps_f, u2_max):
     # worst-case amplification of the entrywise F error through the pipeline;
     # rows of the (approximate) attention matrix sum to 1 and stay in (0, 1].
     # u2_max is max |U2|, and h_inf is max |col_kron(A4 Y1, A5 Y2)| without
-    # forming it: the largest column-max product of the W factors
+    # forming it: the largest product of the W factors' column maxima
     n, d = inst.n, inst.d
-    _, _, _, v2, w2 = inst.projected()
-    h_inf = float((col_abs_max(v2) * col_abs_max(w2)).max())
+    col_max = lowrank.row_bounds(inst.projected()[0].base, n)[1]
+    h_inf = float((col_max[:, 3] * col_max[:, 4]).max())
     delta_f = eps_f
     delta_v = min(2.0, n * n * delta_f) * h_inf
     w_inf = d * (u2_max + delta_v) * h_inf
@@ -184,9 +179,9 @@ def _error_budget(inst, eps_f, u2_max):
 def grad_fast(inst, eps):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
-    The projections are computed once and staged, as the rows of one
-    d x 3n buffer, for the bound R, the degree and the feature map.  R is
-    the largest of ``lowrank.softmax_row_bounds``, and the degree is
+    The projections are computed once; the first three blocks of their
+    buffer, [K1^T | K2^T | Q^T], give R, the largest of
+    ``lowrank.row_bounds``, and then the features.  The degree is
     ``lowrank.choose_degree(R, eps / 2)``.  The ranks k1 = C(d+g, g) and
     k3 = k1*d are fixed next, and an instance whose k3 is over ``RANK_CAP``
     (so any whose k1 is) is rejected with ``ValidationError`` by one check,
@@ -208,17 +203,12 @@ def grad_fast(inst, eps):
         )
     n, d = inst.n, inst.d
     eps_f = eps / 2.0
-    q, kq1, kq2, v2, w2 = inst.projected()
-    # [K1^T | K2^T | Q^T / d]: R and the feature map read these rows in place
-    rows = np.empty((d, 3 * n))
-    rows[:, :n] = kq1.T
-    rows[:, n:2 * n] = kq2.T
-    np.divide(q.T, d, out=rows[:, 2 * n:])
-    # R from the key sides' column maxima, as softmax_row_bounds forms it.
+    q, _, _, v1, v2 = inst.projected()
+    rows = q.base  # [K1^T | K2^T | Q^T | V1^T | V2^T], d x 5n
+    r, col_max = lowrank.row_bounds(rows[:, :3 * n], n)
     # Reductions here call the ufunc's reduce: ndarray.max and .sum add a
     # Python-level wrapper call each, a fixed cost on every small call
-    key_max = np.maximum.reduce(np.abs(rows[:, :2 * n]).reshape(d, 2, n), axis=2)
-    arg_bound = float(np.maximum.reduce(lowrank.row_bounds(q, key_max[:, 0] * key_max[:, 1])))
+    arg_bound = float(np.maximum.reduce(r))
     degree = lowrank.choose_degree(arg_bound, eps_f)
     k1 = math.comb(d + degree, degree)
     k2 = d
@@ -232,56 +222,55 @@ def grad_fast(inst, eps):
     k4 = k1
     k5 = k3 + k4
     basis = lowrank.build_basis(d, degree)
-    c = basis.series_weights
 
     t0 = time.perf_counter()
-    # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q/d) side by side
-    phi_t = lowrank.feature_map(rows.T, basis).T
-    del rows
+    # each side's rows over their column maxima where those exceed 1, so
+    # every feature lies in [-1, 1] and none overflows; the weights carry
+    # prod_a (scale_a / d)^alpha_a / alpha!, formed in log space
+    scale = np.maximum(col_max, 1.0)
+    staged = rows.reshape(d, 5, n)[:, :3]
+    np.multiply(staged, 1.0 / scale[:, :, None], out=staged)
+    c = np.exp(np.dot(basis.exponents, np.log(np.multiply.reduce(scale, axis=1) / d))
+               - basis.log_factorials)
+    # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q) side by side
+    phi_t = lowrank.feature_map(rows[:, :3 * n].T, basis).T
     t1 = time.perf_counter()
 
-    # each key side: Phi^T @ row_kron([A | 1], [V | 1]) read as [a, b, :]
-    # over a, b <= d.  a, b < d is the Pa contraction, b = d the Pb
-    # column A^T Phi, a = d the Gram V^T Phi and a = b = d the column sums
-    # of Phi.  Both sides' operands share one buffer of rows of length n,
-    # and the products are formed from its own A and V rows.
-    ops = np.empty((2, d + 1, d + 1, n))
-    ops[0, :d, d] = inst.A2.T
-    ops[1, :d, d] = inst.A3.T
-    ops[0, d, :d] = v2.T
-    ops[1, d, :d] = w2.T
-    ops[:, d, d] = 1.0
-    np.multiply(ops[:, :d, d:], ops[:, d:, :d], out=ops[:, :d, :d])
+    # Phi of each side's keys against its key_operands side, read as
+    # [e, b, :] over e, b <= d (index 0 the constant): e > 0 is the Pa
+    # contraction for b > 0 and the Pb row A^T Phi for b = 0, e = 0 the
+    # Gram V^T Phi for b > 0 and the column sums of Phi for b = 0
+    ops = lowrank.key_operands(inst, v1, v2).reshape(2, -1, n)
     phi_keys = phi_t[:, :2 * n].reshape(k1, 2, n).transpose(1, 0, 2)
-    key = (phi_keys @ ops.reshape(2, -1, n).transpose(0, 2, 1)).transpose(0, 2, 1)
-    key = key.reshape(2, d + 1, d + 1, k1)
+    key = (phi_keys @ ops.transpose(0, 2, 1)).transpose(0, 2, 1)
+    key = key.reshape(2, d + 1, d + 1, k1).transpose(0, 2, 1, 3)
     del ops
-    g2 = key[0, :d].reshape(d, -1)
-    g3 = key[1, :d].reshape(d, -1)
-    # c * [mid^T ; s]: mid = (V1^T V2) * (W1^T W2) is the residual's
+    g2 = key[0, 1:].reshape(d, -1)
+    g3 = key[1, 1:].reshape(d, -1)
+    # c * [s ; mid^T]: mid = (V1^T V2) * (W1^T W2) is the residual's
     # middle factor and Pb's Gram alike, s the column sums behind the row
     # normalizer
-    weighted = key[0, d] * key[1, d]
+    weighted = key[0, 0] * key[1, 0]
     weighted *= c
     t2 = time.perf_counter()
 
-    # [Y^T ; 1] * d_tilde in one GEMM, Y = U1 @ mid the attention output
+    # [1 ; Y^T] * d_tilde in one GEMM, Y = U1 @ mid the attention output
     phi_q_t = phi_t[:, 2 * n:]
     yd = weighted @ phi_q_t
-    d_tilde = yd[d]
+    d_tilde = yd[0]
     check_row_normalizer(d_tilde)
-    y_t = yd[:d] / d_tilde
-    u2_t = y_t - inst.E.T
-    r_tilde = np.add.reduce(y_t * u2_t, axis=0)
+    y_t = yd[1:] / d_tilde
+    # z = [R | U2], U2 = Y - E and R = rowsum(Y * U2)
+    z = np.empty((d + 1, n))
+    u2_t = np.subtract(y_t, inst.E.T, out=z[1:])
+    np.add.reduce(y_t * u2_t, axis=0, out=z[0])
+    u2_max = float(np.maximum.reduce(np.abs(u2_t), axis=None))
     t3 = time.perf_counter()
 
-    # query side: Phi(Q/d)^T @ row_kron(A1, [U2 | -R] / d_tilde), times
-    # c, is [Pa | -Pb] contracted against A1, with
-    # U1 = Phi(Q/d) diag(c) / d_tilde
-    z = np.empty((d + 1, n))
-    np.divide(u2_t, d_tilde, out=z[:d])
-    np.divide(r_tilde, d_tilde, out=z[d])
-    np.negative(z[d], out=z[d])
+    # query side: Phi(Q)^T @ row_kron(A1, [-R | U2] / d_tilde), times c,
+    # is [-Pb | Pa] contracted against A1, with U1 = Phi(Q) diag(c) / d_tilde
+    np.negative(z[0], out=z[0])
+    z /= d_tilde
     query_op = np.empty((d, d + 1, n))
     np.multiply(inst.A1.T[:, None, :], z[None, :, :], out=query_op)
     g1 = (phi_q_t @ query_op.reshape(-1, n).T).T * c
@@ -308,5 +297,5 @@ def grad_fast(inst, eps):
         stage_timings={"feature_map": t1 - t0, "key_contract": t2 - t1,
                        "residual_u2": t3 - t2, "query_contract": t4 - t3,
                        "assemble": t5 - t4},
-        _budget=(inst, eps_f, float(np.maximum.reduce(np.abs(u2_t), axis=None))),
+        _budget=(inst, eps_f, u2_max),
     )

@@ -67,14 +67,23 @@ class AttnInstance:
         return self.X1 @ row_kron(self.X2.T, self.X3.T)
 
     def projected(self):
-        """The five projected inputs (Q, K1, K2, V1, V2), each n x d."""
-        return (
-            self.A1 @ self.X1,
-            self.A2 @ self.X2,
-            self.A3 @ self.X3,
-            self.A4 @ self.Y1,
-            self.A5 @ self.Y2,
-        )
+        """The five projected inputs (Q, K1, K2, V1, V2), each n x d.
+
+        They are the transposed blocks of one fresh d x 5n buffer, their
+        ``base``, whose rows are [K1^T | K2^T | Q^T | V1^T | V2^T]; each is
+        ``A @ X`` written in place, with the same bits.  Both engines read
+        those contiguous rows in place (``lowrank.row_bounds``, the fast
+        engine's feature map), and the caller owns the buffer: the fast
+        engine rescales its first three blocks.
+        """
+        rows = np.empty((self.d, 5 * self.n))
+        k1, k2, q, v1, v2 = rows.reshape(self.d, 5, self.n).transpose(1, 2, 0)
+        np.matmul(self.A2, self.X2, out=k1)
+        np.matmul(self.A3, self.X3, out=k2)
+        np.matmul(self.A1, self.X1, out=q)
+        np.matmul(self.A4, self.Y1, out=v1)
+        np.matmul(self.A5, self.Y2, out=v2)
+        return q, k1, k2, v1, v2
 
 
 def philox(seed):

@@ -15,22 +15,24 @@ import numpy as np
 def feature_rows(M, size, blocks):
     """Raw monomials of each row of ``M`` over a ``size``-entry graded basis.
 
-    Column 0 is the constant 1.  Each row (dst, src, length, v) of
-    ``blocks`` fills columns ``dst:dst + length`` as columns
-    ``src:src + length``, filled earlier, times ``M[:, v]``: one product on
-    contiguous slices, with no gather.  O(n k) work with no buffer larger
-    than the n x k output.
+    Column 0 is the constant 1.  The first d rows of ``blocks`` are the
+    degree-1 runs, columns 1..d, which are M's columns: they are copied in
+    one step (none exist when the basis is column 0 alone).  Each later row
+    (dst, src, length, v) fills columns ``dst:dst + length`` as columns
+    ``src:src + length``, filled earlier, times column 1 + v, which is
+    ``M[:, v]``: one product on contiguous slices, with no gather.  O(n k)
+    work with no buffer larger than the n x k output.
 
     The result is the transpose of a k x n buffer, so each block is a run of
-    whole rows of that buffer.  ``M`` is read as d rows of length n: when
-    ``M.T`` is C-contiguous, as for the rows ``fastgrad.grad_fast`` stages,
-    those rows are used in place, and any other layout is copied once.
+    whole rows of that buffer.  ``M`` is read once, by that copy, in any
+    layout.
     """
-    mt = np.ascontiguousarray(M.T)
+    d = M.shape[1]
     out = np.empty((size, M.shape[0]))
     out[0] = 1.0
-    for dst, src, length, v in blocks.tolist():
-        np.multiply(out[src:src + length], mt[v], out=out[dst:dst + length])
+    out[1:d + 1] = M.T[:size - 1]
+    for dst, src, length, v in blocks[d:].tolist():
+        np.multiply(out[src:src + length], out[1 + v], out=out[dst:dst + length])
     return out.T
 
 

@@ -11,19 +11,19 @@ two key-side factors.  :class:`MonomialBasis` is that series, built from
 its run table: each run of degree-m entries is one variable times a run of
 degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
 array (exponents, the exact integers alpha!) is filled run by run from it.
-The series weights 1/alpha! (``MonomialBasis.series_weights``) follow from
-those integers by one rule, and are the basis's only weights and the only
-copy of the series' coefficients.  :func:`feature_map` returns raw
-monomials.  The weights have two readers, both on the query side:
-:func:`build_F_factors` multiplies its U by them and ``fastgrad.grad_fast``
-its k1-sized contractions.  The raw key-side V, W make ``col_kron(V, W)``
-rows equal raw monomials of k1_j * k2_l.
+Its ``series_weights`` 1/alpha! and ``log_factorials`` log alpha! follow
+from those integers and are the only copy of the series' coefficients.
+:func:`feature_map` returns raw monomials; the weights go on the query
+side, by :func:`build_F_factors` on its U and by ``fastgrad.grad_fast``,
+in log space, on its k1-sized contractions.  The raw key-side V, W make
+``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
 
-The argument range [-R, R] is the largest of the row bounds of
-:func:`softmax_row_bounds`: R = max_j0 sum_a |q_j0,a| / d * max_j |k1_j,a| *
-max_l |k2_l,a|, which dominates every |<q_j0, k1_j * k2_l>| / d.  The exact
-engine checks the same R against its exp limit and shifts row j0's scores
-by r[j0].  The degree is ``choose_degree(R, eps)``: the Lagrange remainder
+Both engines read one d x 5n buffer of projections through two routines
+here.  :func:`row_bounds` forms the per-row bounds r, whose largest is R:
+every |<q_j0, k1_j * k2_l>| / d is at most r[j0].  The exact engine checks
+R against its exp limit and shifts row j0's scores by r[j0].
+:func:`key_operands` builds both key sides' row_kron([1 | V], [1 | A]).
+The degree is ``choose_degree(R, eps)``: the Lagrange remainder
 ``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra requirement that the
 remainder be below ``e^-R`` so every approximated attention weight stays
 positive and the row normalizer cannot vanish.  The degree fixes the rank
@@ -90,15 +90,6 @@ def choose_degree(r, eps):
     return hi
 
 
-def _series_weight(denom, alpha):
-    # 1/alpha! from the exact integer alpha!, or in log space once that
-    # integer no longer fits in a double
-    try:
-        return 1.0 / float(denom)
-    except OverflowError:
-        return math.exp(-sum(math.lgamma(a + 1) for a in alpha))
-
-
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
     """All exponent vectors of total degree <= g over d variables.
@@ -120,10 +111,10 @@ class MonomialBasis:
     |alpha| per entry.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
-    from its source run.  ``series_weights`` holds the one series weight
-    1 / alpha! of each entry: 1/float(alpha!) while that float is finite,
-    exp(-sum_t lgamma(alpha_t + 1)) past it.  They are the basis's only
-    weights; |alpha|! times them gives the multinomial coefficients.
+    from its source run.  ``log_factorials`` holds log alpha! of each entry
+    and ``series_weights`` 1 / alpha!: 1/float(alpha!) while that float is
+    finite (log alpha! < 709), exp(-log alpha!) past it.  |alpha|! times
+    them gives the multinomial coefficients.
 
     The constructor takes d and g only: every array is derived from them,
     and passing one raises ``TypeError``.  All arrays are read-only.
@@ -137,6 +128,7 @@ class MonomialBasis:
     exponents: np.ndarray = field(init=False)
     degrees: np.ndarray = field(init=False)
     series_weights: np.ndarray = field(init=False)
+    log_factorials: np.ndarray = field(init=False)
     degree_bounds: np.ndarray = field(init=False)
     blocks: np.ndarray = field(init=False)
 
@@ -168,9 +160,12 @@ class MonomialBasis:
                 runs.append((i, src, length, v))
                 i += length
             bounds[m + 1] = i
-        sw = np.array([_series_weight(q, a) for q, a in zip(denoms.tolist(), exps.tolist())])
+        denoms = denoms.tolist()
+        logf = np.array([math.log(q) for q in denoms])
+        sw = np.array([1.0 / q if lq < 709.0 else math.exp(-lq)
+                       for q, lq in zip(denoms, logf.tolist())])
         blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
-        for name, a in (("exponents", exps), ("series_weights", sw),
+        for name, a in (("exponents", exps), ("series_weights", sw), ("log_factorials", logf),
                         ("degrees", exps.sum(axis=1)), ("degree_bounds", bounds),
                         ("blocks", blocks)):
             a.flags.writeable = False
@@ -257,38 +252,40 @@ class LowRankTriple:
         return out
 
 
-def col_abs_max(m):
-    """Largest absolute entry of each column of an n x d matrix, as a d-vector.
+def row_bounds(rows, n):
+    """Per-row bounds r on the softmax arguments, and the column maxima they use.
 
-    Reduces a contiguous transposed copy along its rows, which numpy does
-    about ten times faster than ``np.abs(m).max(axis=0)`` on a tall, narrow
-    C-ordered matrix; the result is the same bit for bit.
+    ``rows`` is d x m n: the first m >= 3 blocks of ``AttnInstance.projected``'s
+    buffer [K1^T | K2^T | Q^T | V1^T | V2^T].  ``col_max[a, i]`` is the largest
+    |entry| of row a of block i, and r[j0] = sum_a |q_j0,a| * max_j |k1_j,a| *
+    max_l |k2_l,a| / d bounds every |<q_j0, k1_j * k2_l>| / d, in O(n d).
+    Division by d is monotone, so R = max r has the bits of the row max taken
+    before dividing.  No other code takes column maxima of the projections.
     """
-    return np.abs(np.ascontiguousarray(m.T)).max(axis=1)
+    d = rows.shape[0]
+    blocks = np.abs(rows).reshape(d, -1, n)
+    col_max = np.maximum.reduce(blocks, axis=2)
+    r = (col_max[:, 0] * col_max[:, 1]) @ blocks[:, 2]
+    r /= d
+    return r, col_max
 
 
-def softmax_row_bounds(q, k1, k2):
-    """Per-row bounds r on the softmax arguments: |<q_j0, k1_j * k2_l>| / d <= r[j0].
+def key_operands(inst, v1, v2):
+    """Both key sides' row_kron([1 | V], [1 | A]), transposed: 2 x (d+1) x (d+1) x n.
 
-    r[j0] = sum_a |q_j0,a| * max_j |k1_j,a| * max_l |k2_l,a| / d: each term
-    of the inner product is bounded by its column maxima on the key sides.
-    Costs O(n d) and never forms a key pair.  The bound R on every argument
-    is ``float(r.max())``; division by d is monotone, so R has the bits of
-    the row max taken before dividing.
+    ``ops[0, b, e, j] = V1'[j, b] * A2'[j, e]`` and ``ops[1, b, f, l] =
+    V2'[l, b] * A3'[l, f]`` with M' = [1 | M] and ``v1``, ``v2`` the value
+    projections: the constant at index 0, the value index first.
     """
-    return row_bounds(q, col_abs_max(k1) * col_abs_max(k2))
-
-
-def row_bounds(q, key_max):
-    """``|q| @ key_max / d``: the row bounds of :func:`softmax_row_bounds`.
-
-    ``key_max`` is the product of the two key sides' column maxima of
-    absolute value.  Callers that hold those maxima already pass them here,
-    so every bound is formed by this one expression.
-    """
-    r = np.abs(q) @ key_max
-    r /= q.shape[1]
-    return r
+    n, d = inst.n, inst.d
+    ops = np.empty((2, d + 1, d + 1, n))
+    ops[:, 0, 0] = 1.0
+    ops[0, 0, 1:] = inst.A2.T
+    ops[1, 0, 1:] = inst.A3.T
+    ops[0, 1:, 0] = v1.T
+    ops[1, 1:, 0] = v2.T
+    np.multiply(ops[:, 1:, :1], ops[:, :1, 1:], out=ops[:, 1:, 1:])
+    return ops
 
 
 def check_row_normalizer(d_tilde):
@@ -302,14 +299,15 @@ def build_F_factors(inst, eps):
     """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
 
     Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The degree is :func:`choose_degree` at R, the largest of
-    :func:`softmax_row_bounds`; a basis whose rank k1 is over ``RANK_CAP``
-    is rejected by ``MonomialBasis`` before any array is allocated.  U1
+    into U1.  The degree is :func:`choose_degree` at R, the largest row
+    bound of :func:`row_bounds`; a basis whose rank k1 is over ``RANK_CAP`` is
+    rejected by ``MonomialBasis`` before any array is allocated.  U1
     carries the series weights, V1 and W1 are raw.  The materialized product
     is entrywise within ``eps`` of the exact attention matrix.
     """
     q, k1, k2, _, _ = inst.projected()
-    basis = build_basis(inst.d, choose_degree(float(softmax_row_bounds(q, k1, k2).max()), eps))
+    r = row_bounds(q.base[:, :3 * inst.n], inst.n)[0]
+    basis = build_basis(inst.d, choose_degree(float(r.max()), eps))
     u_raw = feature_map(q / inst.d, basis)
     u_raw *= basis.series_weights
     v1 = feature_map(k1, basis)

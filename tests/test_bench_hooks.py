@@ -1,20 +1,27 @@
-"""Every name the benchmark's traced run wraps still exists in tatkit.
+"""The benchmark still runs against this tatkit.
 
 ``perfbench/spans.py`` replaces each ``(owner, attr)`` of its ``WRAPS`` with
 a timing wrapper, so a deleted or renamed name would only surface as a crash
 in a traced benchmark run.  This resolves each one the way ``install`` does,
-through ``getattr`` on the package, without wrapping anything.
+through ``getattr`` on the package, without wrapping anything.  A short run
+of each workload must pass the benchmark's own gate: every output correct
+and no call failed.  Nothing under ``perfbench/`` is changed.
 """
 
 import importlib
+import json
 import math
 import os
+import subprocess
+import sys
+
+import pytest
 
 import tatkit
 import tatkit.cli  # noqa: F401  (the package does not import its CLI)
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def test_every_wrapped_name_resolves(monkeypatch):
@@ -42,3 +49,15 @@ def test_grad_fast_attrs_reads_a_real_report(monkeypatch):
     assert attrs["k5"] == report.k5
     for key in ("g", "k1", "k5", "factor_mib"):
         assert math.isfinite(attrs[key]) and attrs[key] > 0, (key, attrs)
+
+
+@pytest.mark.parametrize("workload", ["long-seq", "high-rank", "exact-oracle", "verify"])
+def test_benchmark_run_passes_its_gate(workload):
+    # a short run of each workload, as the benchmark runs it from the
+    # repository root: every output passes its checks and no call fails
+    run = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(run.stdout.strip().split("\n")[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

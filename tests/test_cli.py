@@ -179,6 +179,15 @@ def test_check_rejects_negative_tol(tmp_path, capsys):
     assert "validation error: --tol" in capsys.readouterr().err
 
 
+def test_check_passes_where_key_features_overflowed(tmp_path, capsys):
+    # random_instance(64, 1, 3.0, 3) has R = 63.9 at g = 273: the raw key
+    # features overflowed there and check exited 2
+    path = _gen(tmp_path, n=64, d=1, bound=3.0, seed=3)
+    assert cli.main(["check", "--in", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert float(err.split("|g_fast - g_exact|_inf = ")[1].split()[0]) <= 1e-6
+
+
 def _overflow_file(tmp_path):
     # projections and R stay small, but each engine's last contraction
     # (A1 against the A2 (x) A3 moments) overflows: exact gave inf, fast nan

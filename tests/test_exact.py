@@ -202,8 +202,8 @@ def test_row_blocks_check_bound_once(monkeypatch):
     # which both the exp-limit check and the kernel's shift read
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
     calls = []
-    bounds = exact.softmax_row_bounds
-    monkeypatch.setattr(exact, "softmax_row_bounds", lambda *a: calls.append(1) or bounds(*a))
+    bounds = tk.lowrank.row_bounds
+    monkeypatch.setattr(tk.lowrank, "row_bounds", lambda *a: calls.append(1) or bounds(*a))
     inst = _instance(13, 2, 5)
     tk.grad_exact(inst)
     assert len(calls) == 1
@@ -454,8 +454,7 @@ def test_blocked_shift_at_the_switch(r_max, folded, monkeypatch):
     # above a quarter of the exp limit, where the kernel switches its shift
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 3 * 169)
     base = _instance(13, 2, 8)
-    q, k1, k2, _, _ = base.projected()
-    scale = r_max / float(tk.lowrank.softmax_row_bounds(q, k1, k2).max())
+    scale = r_max / float(tk.lowrank.row_bounds(base.projected()[0].base, 13)[0].max())
     inst = tk.AttnInstance(n=13, d=2, **{k: getattr(base, k) for k in (
         "A2", "A3", "A4", "A5", "E", "X1", "X2", "X3", "Y1", "Y2")}, A1=scale * base.A1)
     want = _dense_grad(inst)

@@ -63,6 +63,9 @@ def test_poly_approx_past_largest_double_factorial():
     assert g > 170
     c = tk.build_basis(1, g).series_weights
     assert c[:171].tolist() == [1.0 / math.factorial(j) for j in range(171)]
+    # log j! stays finite and accurate where 1/j! underflows
+    logf = tk.build_basis(1, g).log_factorials
+    assert np.allclose(logf, [math.lgamma(j + 1) for j in range(g + 1)], rtol=1e-14, atol=0)
     tail = c[171:]
     assert (tail >= 0).all() and (np.diff(tail) <= 0).all()
     assert math.isclose(tail[0], math.exp(-math.lgamma(172)))
@@ -131,7 +134,8 @@ def test_basis_parent_recurrence_and_cache():
             assert (b.degrees[lo:hi] == m).all()
         assert b.degree_bounds[-1] == b.size
         assert tk.build_basis(d, g) is b
-        for a in (b.exponents, b.series_weights, b.degrees, b.degree_bounds):
+        for a in (b.exponents, b.series_weights, b.log_factorials, b.degrees,
+                  b.degree_bounds):
             assert not a.flags.writeable
 
 
@@ -166,7 +170,7 @@ def test_basis_blocks_reproduce_recurrence():
 
 
 @pytest.mark.parametrize("name", ["exponents", "degrees", "series_weights",
-                                  "degree_bounds", "blocks"])
+                                  "log_factorials", "degree_bounds", "blocks"])
 def test_basis_takes_only_d_and_g(name):
     # the arrays were constructor parameters that __post_init__ overwrote,
     # so MonomialBasis(d=2, g=2, series_weights=w) silently dropped w
@@ -248,8 +252,7 @@ def test_build_f_factors_error_contract():
 
 
 def _arg_bound(inst):
-    q, k1, k2, _, _ = inst.projected()
-    return float(lowrank.softmax_row_bounds(q, k1, k2).max())
+    return float(lowrank.row_bounds(inst.projected()[0].base, inst.n)[0].max())
 
 
 def test_build_f_factors_rank_law_and_row_sums():
@@ -320,15 +323,50 @@ def test_softmax_row_bounds_bound_each_row():
     # before the per-row vector existed (max, then divide by d)
     for inst in _bound_cases():
         q, k1, k2, _, _ = inst.projected()
-        rows = lowrank.softmax_row_bounds(q, k1, k2)
+        rows, col_max = lowrank.row_bounds(q.base, inst.n)
+        blocks = (k1, k2, q) + inst.projected()[3:]
+        assert np.array_equal(col_max, np.stack([np.abs(m).max(axis=0) for m in blocks], 1))
         r = float(rows.max())
         assert r == rows.max()
-        c = lowrank.col_abs_max(k1) * lowrank.col_abs_max(k2)
+        c = np.abs(k1).max(axis=0) * np.abs(k2).max(axis=0)
         assert r == float((np.abs(q) @ c).max()) / inst.d
         top = np.abs(exact._scores(inst)).max(axis=1)
         assert rows.shape == (inst.n,) and (rows >= top).all(), (inst.d, rows, top)
         if inst.d == 1:  # one column: every row's bound is attained
             assert (rows == top).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_projected_is_a_at_x_bit_for_bit(d):
+    # the five projections are written into one d x 5n buffer, rows
+    # [K1^T | K2^T | Q^T | V1^T | V2^T], with the bits of A @ X
+    for n in (1, 5, 64, 2048):
+        inst = tk.random_instance(n, d, 0.8, 10 * d + n)
+        proj = inst.projected()
+        want = (inst.A1 @ inst.X1, inst.A2 @ inst.X2, inst.A3 @ inst.X3,
+                inst.A4 @ inst.Y1, inst.A5 @ inst.Y2)
+        assert all(np.array_equal(p, w) for p, w in zip(proj, want)), n
+        rows = proj[0].base
+        assert rows.shape == (d, 5 * n) and rows.flags.c_contiguous
+        for i, m in enumerate((proj[1], proj[2], proj[0], proj[3], proj[4])):
+            assert m.base is rows and np.array_equal(rows[:, i * n:(i + 1) * n], m.T)
+
+
+@pytest.mark.parametrize("fn", [tk.grad_exact, lambda inst: tk.grad_fd(inst, 1e-5),
+                                lambda inst: tk.grad_fast(inst, 1e-6),
+                                lambda inst: tk.build_F_factors(inst, 1e-6)],
+                         ids=["grad_exact", "grad_fd", "grad_fast", "build_F_factors"])
+def test_one_projection_one_row_bound(fn, monkeypatch):
+    # each entry point projects once and forms the row bounds once, from
+    # that projection's buffer
+    calls = []
+    projected, bounds = tk.AttnInstance.projected, lowrank.row_bounds
+    monkeypatch.setattr(tk.AttnInstance, "projected",
+                        lambda self: calls.append("projected") or projected(self))
+    monkeypatch.setattr(lowrank, "row_bounds",
+                        lambda *a: calls.append("row_bounds") or bounds(*a))
+    fn(tk.random_instance(8, 2, 0.8, 1))
+    assert calls == ["projected", "row_bounds"]
 
 
 def test_build_f_factors_validation():

@@ -85,6 +85,56 @@ def test_private_helpers_are_read():
     assert not orphans, f"private module-level names never read: {orphans}"
 
 
+def _holds_abs(expr, abs_names):
+    # an abs call, or a name the function bound to an expression holding one
+    return any((isinstance(node, ast.Call) and "abs" in (getattr(node.func, "attr", None),
+                                                        getattr(node.func, "id", None)))
+               or (isinstance(node, ast.Name) and node.id in abs_names)
+               for node in ast.walk(expr))
+
+
+def _column_max_of_abs(call, abs_names):
+    # a max-reduction along an axis of an expression holding an abs:
+    # X.max(axis=k), np.max(X, k), np.amax(X, k) or np.maximum.reduce(X[, k])
+    # (a ufunc's reduce runs along axis 0 when none is given)
+    f = call.func
+    if not isinstance(f, ast.Attribute):
+        return False
+    axis = next((k.value for k in call.keywords if k.arg == "axis"), None)
+    if f.attr == "reduce" and getattr(f.value, "attr", None) == "maximum":
+        operand, at, default = call.args[0], 1, ast.Constant(0)
+    elif f.attr in ("max", "amax") and getattr(f.value, "id", None) == "np":
+        operand, at, default = call.args[0], 1, None
+    elif f.attr == "max":
+        operand, at, default = f.value, 0, None
+    else:
+        return False
+    axis = axis or (call.args[at] if len(call.args) > at else default)
+    if axis is None or (isinstance(axis, ast.Constant) and axis.value is None):
+        return False
+    return _holds_abs(operand, abs_names)
+
+
+def test_column_maxima_are_taken_once():
+    # lowrank.row_bounds takes the projections' column maxima for every
+    # reader (both engines' admission, the fast engine's feature scaling,
+    # the specification and the error budget); no other function does
+    sites = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            abs_names = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                         and _holds_abs(node.value, ()) for target in node.targets
+                         if isinstance(target, ast.Name)}
+            if any(isinstance(node, ast.Call) and _column_max_of_abs(node, abs_names)
+                   for node in ast.walk(fn)):
+                sites.append(f"{os.path.basename(path)}:{fn.name}")
+    assert sites == ["lowrank.py:row_bounds"], f"column maxima of |.| taken in {sites}"
+
+
 def test_exp_limit_is_compared_once():
     # every dense stream (the exact engine, the FD oracle, the hard-curve
     # probe) calls exact.check_exp_limit instead of spelling its own test
