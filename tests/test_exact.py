@@ -277,16 +277,22 @@ def test_grad_fd_scores_once(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [tk.grad_exact, lambda inst: tk.grad_fd(inst, 1e-5),
-                                tk.compute_intermediates],
-                         ids=["grad_exact", "grad_fd", "compute_intermediates"])
+                                tk.compute_intermediates,
+                                lambda inst: tk.grad_fast(inst, 1e-6),
+                                lambda inst: tk.build_F_factors(inst, 1e-6)],
+                         ids=["grad_exact", "grad_fd", "compute_intermediates",
+                              "grad_fast", "build_F_factors"])
 def test_projects_once(fn, monkeypatch):
-    # grad_fd and compute_intermediates projected again for H = col_kron(V1, V2)
+    # grad_fd and compute_intermediates projected again for H = col_kron(V1, V2);
+    # every entry point forms the row bounds once, from that projection
     calls = []
-    projected = tk.AttnInstance.projected
+    projected, bounds = tk.AttnInstance.projected, tk.lowrank.row_bounds
     monkeypatch.setattr(tk.AttnInstance, "projected",
-                        lambda self: calls.append(1) or projected(self))
+                        lambda self: calls.append("projected") or projected(self))
+    monkeypatch.setattr(tk.lowrank, "row_bounds",
+                        lambda *a: calls.append("row_bounds") or bounds(*a))
     fn(_instance(8, 2, 1))
-    assert len(calls) == 1
+    assert calls == ["projected", "row_bounds"]
 
 
 @pytest.mark.parametrize("n, d", [(8, 1), (8, 4), (1, 4), (5, 3)])

@@ -352,23 +352,6 @@ def test_projected_is_a_at_x_bit_for_bit(d):
             assert m.base is rows and np.array_equal(rows[:, i * n:(i + 1) * n], m.T)
 
 
-@pytest.mark.parametrize("fn", [tk.grad_exact, lambda inst: tk.grad_fd(inst, 1e-5),
-                                lambda inst: tk.grad_fast(inst, 1e-6),
-                                lambda inst: tk.build_F_factors(inst, 1e-6)],
-                         ids=["grad_exact", "grad_fd", "grad_fast", "build_F_factors"])
-def test_one_projection_one_row_bound(fn, monkeypatch):
-    # each entry point projects once and forms the row bounds once, from
-    # that projection's buffer
-    calls = []
-    projected, bounds = tk.AttnInstance.projected, lowrank.row_bounds
-    monkeypatch.setattr(tk.AttnInstance, "projected",
-                        lambda self: calls.append("projected") or projected(self))
-    monkeypatch.setattr(lowrank, "row_bounds",
-                        lambda *a: calls.append("row_bounds") or bounds(*a))
-    fn(tk.random_instance(8, 2, 0.8, 1))
-    assert calls == ["projected", "row_bounds"]
-
-
 def test_build_f_factors_validation():
     inst = tk.random_instance(4, 2, 0.8, 5)
     with pytest.raises(ValidationError):
