@@ -224,9 +224,9 @@ def grad_fast(inst, eps):
     basis = lowrank.build_basis(d, degree)
 
     t0 = time.perf_counter()
-    # each side's rows over their column maxima where those exceed 1, so
-    # every feature lies in [-1, 1] and none overflows; the weights carry
-    # prod_a (scale_a / d)^alpha_a / alpha!, formed in log space
+    # each column of each side over its maximum where that exceeds 1, so no
+    # feature exceeds 1; the weights carry prod_a (s_a / d)^alpha_a / alpha!
+    # in log space, s_a the product of variable a's three divisors
     scale = np.maximum(col_max, 1.0)
     staged = rows.reshape(d, 5, n)[:, :3]
     np.multiply(staged, 1.0 / scale[:, :, None], out=staged)
@@ -278,9 +278,9 @@ def grad_fast(inst, eps):
     t4 = time.perf_counter()
 
     # sum_k g1[a, k] g2[b, k] g3[c, k] as one (d^2 x k) @ (k x d) GEMM.
-    # The Pa columns k run over (W column, F column) pairs, the reverse
-    # of build_Pa_factors' order; the sum does not see the order.  einsum
-    # writes g12 directly, where a broadcast multiply is no faster and
+    # Its columns k run over (value column, feature) pairs, column 0 Pb's,
+    # the reverse of build_Pa_factors' order, which the sum does not see.
+    # einsum writes g12 directly, where a broadcast multiply is no faster and
     # has numpy's iterator buffer both inputs at the size of the output.
     g12 = np.einsum("ak,bk->abk", g1, g2).reshape(d * d, -1)
     with np.errstate(over="ignore", invalid="ignore"):
