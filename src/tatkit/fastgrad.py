@@ -7,13 +7,10 @@ contracted against A1, A2 and A3.  The builders ``build_residual_U2``,
 are the specification.  :func:`grad_fast` calls none of them and builds no
 factor triple; it computes the same contractions in five stages:
 
-- ``feature_map``: one raw monomial map Phi of [K1; K2; Q], a k1 x 3n
-  buffer, read in place from the first three blocks of the projections'
-  buffer once one multiply has divided each column by its maximum where
-  that exceeds 1.  No feature then exceeds 1 in size, so none overflows;
-  the weights c = prod_a (s_a / d)^alpha_a / alpha!, s_a the product of
-  variable a's three divisors, are formed in log space and go on k1-sized
-  results only.
+- ``feature_map``: ``lowrank.staged_features`` at eps / 2, the admission
+  and the k1 x 3n buffer Phi of raw monomials of [K1; K2; Q], scaled so
+  that none exceeds 1, with the weights c in log space.  Every weight goes
+  on a k1-sized result only.
 - ``key_contract``: one GEMM per key side, Phi(K1) and Phi(K2) against
   the two sides of ``lowrank.key_operands``, row_kron([1 | A4 Y1], [1 | A2])
   and row_kron([1 | A5 Y2], [1 | A3]).  Each yields that side's Pa and Pb
@@ -37,7 +34,6 @@ outlives it.
 """
 
 import functools
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -66,8 +62,9 @@ class FastGradientReport:
     ``choose_degree(arg_bound, eps / 2)``: half of the caller's eps goes to
     the attention factors.  A reported call passed the one cap check,
     k1*d <= ``RANK_CAP``.  ``stage_timings`` holds the seconds spent in
-    each stage of the module docstring: ``feature_map``, ``key_contract``,
-    ``residual_u2``, ``query_contract`` and ``assemble``.
+    each stage of the module docstring: ``feature_map``, which also covers
+    the projection, R and the degree, ``key_contract``, ``residual_u2``,
+    ``query_contract`` and ``assemble``.
 
     ``eps_target`` is computed when first read, then kept: a worst-case
     bound on the gradient error from that eps / 2, n and the instance
@@ -179,14 +176,10 @@ def _error_budget(inst, eps_f, u2_max):
 def grad_fast(inst, eps):
     """Approximate gradient w.r.t. the composite X in near-linear time.
 
-    The projections are computed once; the first three blocks of their
-    buffer, [K1^T | K2^T | Q^T], give R, the largest of
-    ``lowrank.row_bounds``, and then the features.  The degree is
-    ``lowrank.choose_degree(R, eps / 2)``.  The ranks k1 = C(d+g, g) and
-    k3 = k1*d are fixed next, and an instance whose k3 is over ``RANK_CAP``
-    (so any whose k1 is) is rejected with ``ValidationError`` by one check,
-    before any factor is allocated.  The stages are those of the module
-    docstring; the result matches the explicit factor builders within
+    The admission (R, the degree at eps / 2 and the one k1*d cap check,
+    raising ``ValidationError``) and the features are
+    ``lowrank.staged_features``; the stages are those of the module
+    docstring, and the result matches the explicit factor builders within
     rounding.  An eps outside (0, 1), nan included, is rejected before any
     projection.  A nonpositive or non-finite row normalizer raises
     ``NumericalError``, and so does a gradient whose last contraction
@@ -203,37 +196,10 @@ def grad_fast(inst, eps):
         )
     n, d = inst.n, inst.d
     eps_f = eps / 2.0
-    q, _, _, v1, v2 = inst.projected()
-    rows = q.base  # [K1^T | K2^T | Q^T | V1^T | V2^T], d x 5n
-    r, col_max = lowrank.row_bounds(rows[:, :3 * n], n)
-    # Reductions here call the ufunc's reduce: ndarray.max and .sum add a
-    # Python-level wrapper call each, a fixed cost on every small call
-    arg_bound = float(np.maximum.reduce(r))
-    degree = lowrank.choose_degree(arg_bound, eps_f)
-    k1 = math.comb(d + degree, degree)
-    k2 = d
-    k3 = k1 * k2
-    # the one cap check: k1*d <= RANK_CAP also holds k1 within it, since d >= 1
-    if k3 > RANK_CAP:
-        raise ValidationError(
-            f"degree g={degree} gives Pa rank k1*d = {k3}, over the cap {RANK_CAP}; "
-            f"loosen eps or shrink the entry bound"
-        )
-    k4 = k1
-    k5 = k3 + k4
-    basis = lowrank.build_basis(d, degree)
 
     t0 = time.perf_counter()
-    # each column of each side over its maximum where that exceeds 1, so no
-    # feature exceeds 1; the weights carry prod_a (s_a / d)^alpha_a / alpha!
-    # in log space, s_a the product of variable a's three divisors
-    scale = np.maximum(col_max, 1.0)
-    staged = rows.reshape(d, 5, n)[:, :3]
-    np.multiply(staged, 1.0 / scale[:, :, None], out=staged)
-    c = np.exp(np.dot(basis.exponents, np.log(np.multiply.reduce(scale, axis=1) / d))
-               - basis.log_factorials)
-    # k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q) side by side
-    phi_t = lowrank.feature_map(rows[:, :3 * n].T, basis).T
+    (_, _, _, v1, v2), arg_bound, basis, phi_t, c = lowrank.staged_features(inst, eps_f)
+    k1 = phi_t.shape[0]
     t1 = time.perf_counter()
 
     # Phi of each side's keys against its key_operands side, read as
@@ -291,8 +257,8 @@ def grad_fast(inst, eps):
 
     return FastGradientReport(
         g_tilde=g_tilde,
-        k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
-        degree=degree,
+        k1=k1, k2=d, k3=k1 * d, k4=k1, k5=k1 * (d + 1),
+        degree=basis.g,
         arg_bound=arg_bound,
         stage_timings={"feature_map": t1 - t0, "key_contract": t2 - t1,
                        "residual_u2": t3 - t2, "query_contract": t4 - t3,

@@ -72,9 +72,9 @@ class AttnInstance:
         They are the transposed blocks of one fresh d x 5n buffer, their
         ``base``, whose rows are [K1^T | K2^T | Q^T | V1^T | V2^T]; each is
         ``A @ X`` written in place, with the same bits.  Both engines read
-        those contiguous rows in place (``lowrank.row_bounds``, the fast
-        engine's feature map), and the caller owns the buffer: the fast
-        engine rescales its first three blocks.
+        those contiguous rows in place (``lowrank.row_bounds``, the feature
+        map), and the caller owns the buffer: ``lowrank.staged_features``
+        rescales its first three blocks.
         """
         rows = np.empty((self.d, 5 * self.n))
         k1, k2, q, v1, v2 = rows.reshape(self.d, 5, self.n).transpose(1, 2, 0)

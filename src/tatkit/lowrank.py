@@ -13,24 +13,19 @@ degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
 array (exponents, the exact integers alpha!) is filled run by run from it.
 Its ``series_weights`` 1/alpha! and ``log_factorials`` log alpha! follow
 from those integers and are the only copy of the series' coefficients.
-:func:`feature_map` returns raw monomials; the weights go on the query
-side, by :func:`build_F_factors` on its U and by ``fastgrad.grad_fast``,
-in log space, on its k1-sized contractions.  The raw key-side V, W make
-``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l.
+:func:`feature_map` returns raw monomials.  The raw key-side V, W make
+``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l, and the
+weights go on the query side.
 
 Both engines read one d x 5n buffer of projections through two routines
 here.  :func:`row_bounds` forms the per-row bounds r, whose largest is R:
 every |<q_j0, k1_j * k2_l>| / d is at most r[j0].  The exact engine checks
 R against its exp limit and shifts row j0's scores by r[j0].
 :func:`key_operands` builds both key sides' row_kron([1 | V], [1 | A]).
-The degree is ``choose_degree(R, eps)``: the Lagrange remainder
-``e^R R^(g+1) / (g+1)!`` on [-R, R], with the extra requirement that the
-remainder be below ``e^-R`` so every approximated attention weight stays
-positive and the row normalizer cannot vanish.  The degree fixes the rank
-k1 = C(d+g, g), and ``RANK_CAP`` rejects the rest before anything is
-allocated: ``MonomialBasis`` checks k1 and ``fastgrad.grad_fast`` checks
-k1*d, once.  The row normalizer is folded into the U factor, so the
-approximated attention rows sum to exactly 1.
+
+:func:`staged_features` is the polynomial method's one admission and
+feature stage, called by ``fastgrad.grad_fast`` at eps / 2 and by the
+specification :func:`build_F_factors` at eps.
 """
 
 import functools
@@ -57,9 +52,11 @@ def _log_remainder(r, g):
 def choose_degree(r, eps):
     """Smallest truncation degree meeting the remainder target on [-r, r].
 
-    Returns the least g with ``e^r r^(g+1)/(g+1)! <= eps`` that also keeps
-    the remainder below ``e^-r`` (the positivity guard).  Always terminates:
-    the factorial beats the power.
+    Returns the least g with ``e^r r^(g+1)/(g+1)! <= eps``, the Lagrange
+    remainder on [-r, r], that also keeps the remainder below ``e^-r``, so
+    every approximated attention weight stays positive and the row
+    normalizer cannot vanish.  Always terminates: the factorial beats the
+    power.
     """
     if not math.isfinite(r):
         raise ValidationError(f"range must be finite, got {r}")
@@ -185,14 +182,13 @@ def build_basis(d, g):
 def feature_map(m, basis):
     """Raw monomial features of each row of ``m`` over ``basis``, n x basis.size.
 
-    Entry alpha of row i is prod_t m[i, t]^alpha_t.  The callers apply
-    ``basis.series_weights`` on the query side (see the module docstring):
-    weighted query features paired against two raw key sides reproduce the
-    truncated series of exp(<q, k1 * k2>) as a plain inner product.
+    Entry alpha of row i is prod_t m[i, t]^alpha_t.  Weighted query features
+    paired against two raw key sides reproduce the truncated series of
+    exp(<q, k1 * k2>) as a plain inner product (see the module docstring).
 
     ``m`` is read in the layout it comes in: a float64 ``m`` whose
-    transpose is C-contiguous (the d x n rows ``fastgrad.grad_fast``
-    stages, passed as ``rows.T``) reaches ``kernels.feature_rows`` with no
+    transpose is C-contiguous (the d x 3n rows :func:`staged_features`
+    scales, passed as ``rows.T``) reaches ``kernels.feature_rows`` with no
     copy.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -295,23 +291,61 @@ def check_row_normalizer(d_tilde):
                              "attention matrix: eps too coarse or features overflowed")
 
 
+def staged_features(inst, eps):
+    """The polynomial method's one admission and feature stage.
+
+    Projects ``inst`` once; R is the largest of :func:`row_bounds` of
+    [K1^T | K2^T | Q^T], g = ``choose_degree(R, eps)`` and k1 = C(d+g, g).
+    One check rejects a k1*d over ``RANK_CAP`` (so any k1 over it) with
+    ``ValidationError`` before any n x k1 buffer exists.  One in-place
+    multiply then divides each column of K1, K2 and Q by its maximum where
+    that exceeds 1, so no feature exceeds 1, and one raw feature map fills
+    Phi, k1 x 3n: the columns of Phi(K1), Phi(K2) and Phi(Q) side by side.
+    The weights c = prod_a (s_a / d)^alpha_a / alpha!, s_a the product of
+    variable a's three divisors, are formed in log space, so Phi(Q)^T
+    diag(c) against the raw key sides is the series of exp(<q, k1 * k2> / d).
+
+    Returns (projections, R, basis, Phi, c); of ``inst.projected()``'s
+    (Q, K1, K2, V1, V2), the first three are now scaled.
+    """
+    n, d = inst.n, inst.d
+    proj = inst.projected()
+    rows = proj[0].base  # [K1^T | K2^T | Q^T | V1^T | V2^T], d x 5n
+    r, col_max = row_bounds(rows[:, :3 * n], n)
+    # Reductions here call the ufunc's reduce: ndarray.max and .sum add a
+    # Python-level wrapper call each, a fixed cost on every small call
+    arg_bound = float(np.maximum.reduce(r))
+    g = choose_degree(arg_bound, eps)
+    k1 = math.comb(d + g, g)
+    # the one cap check: k1*d <= RANK_CAP also holds k1 within it, since d >= 1
+    if k1 * d > RANK_CAP:
+        raise ValidationError(
+            f"degree g={g} gives Pa rank k1*d = {k1 * d}, over the cap {RANK_CAP}; "
+            f"loosen eps or shrink the entry bound"
+        )
+    basis = build_basis(d, g)
+    scale = np.maximum(col_max, 1.0)
+    staged = rows.reshape(d, 5, n)[:, :3]
+    np.multiply(staged, 1.0 / scale[:, :, None], out=staged)
+    c = np.exp(np.dot(basis.exponents, np.log(np.multiply.reduce(scale, axis=1) / d))
+               - basis.log_factorials)
+    phi_t = feature_map(rows[:, :3 * n].T, basis).T
+    return proj, arg_bound, basis, phi_t, c
+
+
 def build_F_factors(inst, eps):
     """Factor the attention matrix as ``U1 @ col_kron(V1, W1).T``.
 
     Returns the factor triple and the row-normalizer vector that was folded
-    into U1.  The degree is :func:`choose_degree` at R, the largest row
-    bound of :func:`row_bounds`; a basis whose rank k1 is over ``RANK_CAP`` is
-    rejected by ``MonomialBasis`` before any array is allocated.  U1
-    carries the series weights, V1 and W1 are raw.  The materialized product
-    is entrywise within ``eps`` of the exact attention matrix.
+    into U1.  The admission and features are :func:`staged_features` at
+    ``eps``: V1 = Phi(K1)^T and W1 = Phi(K2)^T are raw, and
+    U1 = Phi(Q)^T diag(c) / d~ carries the weights and the row normalizer,
+    so the approximated attention rows sum to exactly 1.  The materialized
+    product is entrywise within ``eps`` of the exact attention matrix.
     """
-    q, k1, k2, _, _ = inst.projected()
-    r = row_bounds(q.base[:, :3 * inst.n], inst.n)[0]
-    basis = build_basis(inst.d, choose_degree(float(r.max()), eps))
-    u_raw = feature_map(q / inst.d, basis)
-    u_raw *= basis.series_weights
-    v1 = feature_map(k1, basis)
-    w1 = feature_map(k2, basis)
+    phi_t, c = staged_features(inst, eps)[3:]
+    v1, w1, phi_q = phi_t.reshape(c.size, 3, inst.n).transpose(1, 2, 0)
+    u_raw = phi_q * c
     # row sums of u_raw @ col_kron(v1, w1).T without the tall product
     d_tilde = u_raw @ (v1.sum(axis=0) * w1.sum(axis=0))
     check_row_normalizer(d_tilde)

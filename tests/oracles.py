@@ -153,6 +153,26 @@ def p_rows_dense(inst):
     return f, h, vres, w, p
 
 
+def grad_poly_dense(inst, g):
+    """The closed-form gradient (A1^T P) kron(A2, A3) / d, exp replaced by p_g.
+
+    p_g(s) = sum_{m <= g} s^m / m!, entrywise on the dense n x n^2 scores;
+    F is its row-normalized form, and P = (W - r) * F as in
+    ``p_rows_dense``.
+    """
+    n, d = inst.n, inst.d
+    q, k1, k2 = inst.A1 @ inst.X1, inst.A2 @ inst.X2, inst.A3 @ inst.X3
+    s = np.einsum("ia,ja,la->ijl", q, k1, k2).reshape(n, n * n) / d
+    p = np.zeros_like(s)
+    for m in range(g + 1):
+        p += s ** m / math.factorial(m)
+    f = p / p.sum(axis=1)[:, None]
+    h = value_rows(inst)
+    w = (f @ h - inst.E) @ h.T
+    pm = (w - (f * w).sum(axis=1)[:, None]) * f
+    return inst.A1.T @ pm @ np.kron(inst.A2, inst.A3) / d
+
+
 def hard_curve_dense(hi, lam):
     """f(lam) from the raw definition: normalize exp(lam H) rows, square-sum."""
     m = np.exp(lam * hi.H)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import tatkit as tk
-from tatkit import fastgrad, kernels, lowrank
+from tatkit import exact, fastgrad, kernels, lowrank
 from tatkit.errors import ValidationError
 
-from oracles import error_budget
+from oracles import error_budget, grad_poly_dense
 
 
 def _with_target(inst, e):
@@ -161,28 +161,48 @@ def test_grad_fast_matches_exact_seed17():
     assert err <= rep.eps_target
 
 
+def _explicit_grad(inst, eps):
+    # the explicit route: hstack the Pa and Pb factors, contract against A;
+    # returns the gradient, the F and W triples and Pb's per-row scalars
+    d = inst.d
+    ff, _ = tk.build_F_factors(inst, eps / 2)
+    wf = tk.build_W_factors(inst, tk.build_residual_U2(inst, ff))
+    pa = tk.build_Pa_factors(ff, wf)
+    pb, r_tilde = tk.build_Pb_factors(ff, wf)
+    g1 = inst.A1.T @ np.hstack([pa.U, -pb.U])
+    g2 = inst.A2.T @ np.hstack([pa.V, pb.V])
+    g3 = inst.A3.T @ np.hstack([pa.W, pb.W])
+    grad = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
+    return grad, ff, wf, r_tilde
+
+
 def test_grad_fast_matches_explicit_factors():
-    # the explicit route: hstack the Pa and Pb factors, contract against A
     eps = 1e-6
     cases = [(n, d, 0.8) for n in (8, 64) for d in (1, 2, 3, 4)]
     cases += [(2048, 2, 0.8), (64, 3, 1.0)]
     for n, d, bound in cases:
         inst = tk.random_instance(n, d, bound, 100 + n + d)
-        ff, _ = tk.build_F_factors(inst, eps / 2)
-        u2 = tk.build_residual_U2(inst, ff)
-        wf = tk.build_W_factors(inst, u2)
-        pa = tk.build_Pa_factors(ff, wf)
-        pb, r_tilde = tk.build_Pb_factors(ff, wf)
-        g1 = inst.A1.T @ np.hstack([pa.U, -pb.U])
-        g2 = inst.A2.T @ np.hstack([pa.V, pb.V])
-        g3 = inst.A3.T @ np.hstack([pa.W, pb.W])
-        want = np.einsum("ak,bk,ck->abc", g1, g2, g3).reshape(d, d * d) / d
+        want, ff, wf, r_tilde = _explicit_grad(inst, eps)
         got = tk.grad_fast(inst, eps).g_tilde
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, d, bound)
         # Pb's Gram is the residual's middle factor, so R = rowsum(Y o U2)
         mid = (ff.V.T @ wf.V) * (ff.W.T @ wf.W)
-        r_direct = ((ff.U @ mid) * u2).sum(axis=1)
+        r_direct = ((ff.U @ mid) * wf.U).sum(axis=1)
         assert np.abs(r_tilde - r_direct).max() <= 1e-13 * np.abs(r_tilde).max(), (n, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grad_fast_matches_truncated_series_oracle(d):
+    # grad_exact's dense closed form with exp replaced by p_g at the
+    # report's degree is what grad_fast computes in exact arithmetic; the
+    # oracle shares no code with the feature stage
+    for bound in (0.8, 1.2):
+        for n, seed in ((4, 1), (16, 2), (32, 1)):
+            inst = tk.random_instance(n, d, bound, seed)
+            rep = tk.grad_fast(inst, 1e-6)
+            want = grad_poly_dense(inst, rep.degree)
+            err = np.abs(rep.g_tilde - want).max()
+            assert err <= 1e-13 * np.abs(want).max(), (n, bound, seed, rep.degree)
 
 
 def test_rank_admission_before_allocation():
@@ -355,10 +375,12 @@ def _profile_events(fn, *args):
 
 # One warm grad_fast made 137 call and c_call events at (n, d) = (64, 3)
 # (52 call, 85 c_call) and 129 at (8, 2) (48, 81) before its fixed cost
-# was cut, then 91 and 83, and makes 97 (36, 61) and 89 (32, 57) now that
-# it scales its features, with numpy 2.4.6 on CPython 3.11.7.  The count includes grad_fast's own call and the c_call
-# of sys.setprofile(None); 7 are the assemble's np.einsum, whose
-# dispatcher is a generator, and 28 and 22 are choose_degree's search.
+# was cut, then 91 and 83, then 97 and 89 once it scaled its features, and
+# makes 98 (37, 61) and 90 (33, 57) now that lowrank.staged_features holds
+# that stage, with numpy 2.4.6 on CPython 3.11.7.  The count includes
+# grad_fast's own call and the c_call of sys.setprofile(None); 7 are the
+# assemble's np.einsum, whose dispatcher is a generator, and 28 and 22 are
+# choose_degree's search.
 FIXED_COST_EVENTS = 100
 
 
@@ -407,6 +429,22 @@ def test_grad_fast_features_do_not_overflow():
     want = tk.grad_exact(inst)
     assert (rep.degree, rep.k1) == (273, 274)
     assert np.abs(rep.g_tilde - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_build_f_factors_agrees_at_large_r():
+    # the specification shares grad_fast's scaled features, so its raw key
+    # features no longer overflow: it raised NumericalError on both.  At
+    # R = 134 (g = 576) the materialized F is within eps of the dense one;
+    # at R = 63.9 (n = 64, past the materialize cap) the explicit triples'
+    # gradient agrees with the exact one
+    eps = 5e-7
+    inst = tk.random_instance(16, 1, 3.0, 1)
+    triple, _ = tk.build_F_factors(inst, eps)
+    assert np.abs(triple.materialize() - exact.attention_weights(inst)).max() <= eps
+    inst = tk.random_instance(64, 1, 3.0, 3)
+    want = tk.grad_exact(inst)
+    got = _explicit_grad(inst, 1e-6)[0]
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_peak_memory_is_features_plus_operands(traced_peak):

@@ -151,3 +151,35 @@ def test_exp_limit_is_compared_once():
             if "EXP_ARG_LIMIT" in names:
                 sites.append(f"{os.path.basename(path)}:{node.lineno}")
     assert len(sites) == 1, f"comparisons against EXP_ARG_LIMIT: {sites}"
+
+
+def _calls(node, name):
+    # a call of ``name``, bare or as an attribute such as lowrank.build_basis
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def _clamps_at_one(node):
+    # np.maximum(col_max, 1.0): each column's divisor, its maximum where that exceeds 1
+    return (_calls(node, "maximum") and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == 1)
+
+
+def test_feature_stage_is_written_once():
+    # lowrank.staged_features alone chooses the degree, builds the basis and
+    # scales the feature columns; the fast engine and the specification
+    # both call it instead of keeping a copy
+    stages = {"choose_degree": lambda node: _calls(node, "choose_degree"),
+              "build_basis": lambda node: _calls(node, "build_basis"),
+              "column scaling": _clamps_at_one}
+    sites = {what: [] for what in stages}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for what, test in stages.items():
+                if any(test(node) for node in ast.walk(fn)):
+                    sites[what].append(f"{os.path.basename(path)}:{fn.name}")
+    assert sites == {what: ["lowrank.py:staged_features"] for what in stages}, sites
