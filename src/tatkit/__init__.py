@@ -3,10 +3,10 @@
 Two interchangeable gradient engines for the Kronecker-structured attention
 loss: an exact dense cubic engine and an almost-linear low-rank engine built
 on truncated-series feature maps, plus hard-instance probes and a CLI for
-generation, verification, and scaling benchmarks.  The three
-Kronecker-family products ``kron``, ``col_kron`` and ``row_kron`` write out
-the specification both engines are tested against (the dense intermediates
-and the factor builders); neither engine calls them.
+generation, verification, and scaling benchmarks.  The two
+Kronecker-family products ``col_kron`` and ``row_kron`` write out the
+specification both engines are tested against (the dense intermediates and
+the factor builders); neither engine calls them.
 """
 
 from .errors import NumericalError, TatError, ToleranceError, ValidationError
@@ -42,7 +42,7 @@ from .lowrank import (
     choose_degree,
     feature_map,
 )
-from .tensorops import col_kron, kron, row_kron
+from .tensorops import col_kron, row_kron
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "grad_exact",
     "grad_fast",
     "grad_fd",
-    "kron",
     "loss",
     "make_hard_instance",
     "random_instance",

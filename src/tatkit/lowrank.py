@@ -11,8 +11,9 @@ two key-side factors.  :class:`MonomialBasis` is that series, built from
 its run table: each run of degree-m entries is one variable times a run of
 degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
 array (exponents, the exact integers alpha!) is filled run by run from it.
-Its ``series_weights`` 1/alpha! and ``log_factorials`` log alpha! follow
-from those integers and are the only copy of the series' coefficients.
+Its one coefficient form is ``log_factorials``, log alpha! of those exact
+integers: the series' coefficients 1/alpha! are exp(-log alpha!), and the
+engine folds them into its weights in log space, where no alpha! overflows.
 :func:`feature_map` returns raw monomials.  The raw key-side V, W make
 ``col_kron(V, W)`` rows equal raw monomials of k1_j * k2_l, and the
 weights go on the query side.
@@ -103,15 +104,15 @@ class MonomialBasis:
     ``src:src + length`` times variable v, so ``exponents[dst:dst + length]``
     is ``exponents[src:src + length] + e_v``.  ``kernels.feature_rows``
     walks the same table, and every per-entry array is filled run by run
-    from it.  Entry 0 is the constant monomial.  Degree m occupies the
-    entries ``degree_bounds[m]:degree_bounds[m + 1]``, and ``degrees`` holds
-    |alpha| per entry.
+    from it.  Entry 0 is the constant monomial.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
-    from its source run.  ``log_factorials`` holds log alpha! of each entry
-    and ``series_weights`` 1 / alpha!: 1/float(alpha!) while that float is
-    finite (log alpha! < 709), exp(-log alpha!) past it.  |alpha|! times
-    them gives the multinomial coefficients.
+    from its source run, and ``log_factorials`` holds ``math.log`` of it per
+    entry: the one form of the series' coefficients, since 1/alpha! is
+    exp(-log alpha!).  It is the log of the exact integer, not a sum of
+    per-variable logs, and its bits matter: the sum, at most one ulp away,
+    moves ``grad_fast`` on ``random_instance(32, 2, 2.0, 1)`` (R = 31.3,
+    g = 132) by 1.2e-6 relative, more than its eps of 1e-6.
 
     The constructor takes d and g only: every array is derived from them,
     and passing one raises ``TypeError``.  All arrays are read-only.
@@ -123,10 +124,7 @@ class MonomialBasis:
     d: int
     g: int
     exponents: np.ndarray = field(init=False)
-    degrees: np.ndarray = field(init=False)
-    series_weights: np.ndarray = field(init=False)
     log_factorials: np.ndarray = field(init=False)
-    degree_bounds: np.ndarray = field(init=False)
     blocks: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -142,11 +140,10 @@ class MonomialBasis:
             )
         exps = np.zeros((size, d), dtype=np.int64)
         denoms = np.ones(size, dtype=object)  # exact integers alpha!
-        # degree 0 is entry 0 alone; bounds[2:] are overwritten below
-        bounds = np.arange(g + 2, dtype=np.intp)
         runs = []
+        i = 1  # degree 0 is entry 0 alone
         for m in range(1, g + 1):
-            lo = i = bounds[m]  # degree m - 1 ends where degree m starts
+            lo = i  # degree m - 1 ends where degree m starts
             for v in range(d):
                 length = math.comb(m + d - 2 - v, d - 1 - v)
                 src = lo - length
@@ -156,15 +153,9 @@ class MonomialBasis:
                 denoms[run] = denoms[src:lo] * exps[run, v].astype(object)
                 runs.append((i, src, length, v))
                 i += length
-            bounds[m + 1] = i
-        denoms = denoms.tolist()
-        logf = np.array([math.log(q) for q in denoms])
-        sw = np.array([1.0 / q if lq < 709.0 else math.exp(-lq)
-                       for q, lq in zip(denoms, logf.tolist())])
+        logf = np.array([math.log(q) for q in denoms.tolist()])
         blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
-        for name, a in (("exponents", exps), ("series_weights", sw), ("log_factorials", logf),
-                        ("degrees", exps.sum(axis=1)), ("degree_bounds", bounds),
-                        ("blocks", blocks)):
+        for name, a in (("exponents", exps), ("log_factorials", logf), ("blocks", blocks)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

@@ -1,15 +1,15 @@
-"""The three Kronecker-family products the attention engines are built from.
+"""The two Kronecker-family products the attention engines are built from.
 
-Index convention, used consistently by every routine here and by the
+Index convention, used consistently by both routines here and by the
 engines built on top: in any combined axis the *first* factor's index moves
 slowest.  Concretely, with 1-based indices,
 
-* ``kron(A, B)[(i1-1)*n2 + i2, (j1-1)*d2 + j2] = A[i1, j1] * B[i2, j2]``
-* ``col_kron(A, B)[(i1-1)*n2 + i2, j]          = A[i1, j]  * B[i2, j]``
-* ``row_kron(A, B)[i, (j1-1)*d2 + j2]          = A[i, j1]  * B[i, j2]``
+* ``col_kron(A, B)[(i1-1)*n2 + i2, j] = A[i1, j]  * B[i2, j]``
+* ``row_kron(A, B)[i, (j1-1)*d2 + j2] = A[i, j1]  * B[i, j2]``
 
-Each is one broadcast product reshaped to that layout; the col/row
-variants share columns respectively rows instead of combining both axes.
+Each is one broadcast product reshaped to that layout: ``col_kron`` pairs
+all rows and shares columns, ``row_kron`` pairs all columns and shares rows.
+The full Kronecker product of both axes is ``np.kron``.
 """
 
 import numpy as np
@@ -24,19 +24,6 @@ def _as_matrix(name, a):
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"{name} must be nonempty, got shape {a.shape}")
     return a
-
-
-def kron(a, b):
-    """Kronecker product of two matrices (all pairs of rows and columns).
-
-    Equals ``np.kron(a, b)`` bit for bit, without its generic n-d set-up,
-    which costs several times the product itself at small n.
-    """
-    a = _as_matrix("a", a)
-    b = _as_matrix("b", b)
-    n1, d1 = a.shape
-    n2, d2 = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n1 * n2, d1 * d2)
 
 
 def col_kron(a, b):

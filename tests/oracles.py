@@ -13,18 +13,6 @@ import math
 import numpy as np
 
 
-def kron_loops(a, b):
-    n1, d1 = a.shape
-    n2, d2 = b.shape
-    out = np.zeros((n1 * n2, d1 * d2))
-    for i1 in range(n1):
-        for i2 in range(n2):
-            for j1 in range(d1):
-                for j2 in range(d2):
-                    out[i1 * n2 + i2, j1 * d2 + j2] = a[i1, j1] * b[i2, j2]
-    return out
-
-
 def col_kron_loops(a, b):
     n1, d = a.shape
     n2 = b.shape[0]

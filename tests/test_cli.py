@@ -188,6 +188,20 @@ def test_check_passes_where_key_features_overflowed(tmp_path, capsys):
     assert float(err.split("|g_fast - g_exact|_inf = ")[1].split()[0]) <= 1e-6
 
 
+def test_fast_engine_stops_at_the_rank_cap(tmp_path, capsys):
+    # at bound 1.5, d = 4 the degree is 52 and k1*d = 1,469,160: the fast
+    # engine and check refuse before any feature buffer, the exact engine runs
+    path = _gen(tmp_path, n=8, d=4, bound=1.5, seed=1)
+    for argv in (["grad", "--in", str(path), "--engine", "fast"], ["check", "--in", str(path)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degree g=52 gives Pa rank k1*d = 1469160, over the cap" in captured.err
+    assert cli.main(["grad", "--in", str(path), "--engine", "exact"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert len(rows) == 4 and all(len(r.split()) == 16 for r in rows)
+
+
 def _overflow_file(tmp_path):
     # projections and R stay small, but each engine's last contraction
     # (A1 against the A2 (x) A3 moments) overflows: exact gave inf, fast nan

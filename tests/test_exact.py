@@ -28,7 +28,7 @@ def _with_target(inst, e):
 def _weights_at(inst, x):
     # F with a composite x in place of the one derived from X1, X2, X3,
     # from the specification's formula and not from exact._scores
-    scores = (inst.A1 @ x) @ tk.kron(inst.A2, inst.A3).T / inst.d
+    scores = (inst.A1 @ x) @ np.kron(inst.A2, inst.A3).T / inst.d
     exact.check_exp_limit("softmax argument max", float(np.abs(scores).max()))
     return exact._softmax_rows(scores)
 
@@ -172,7 +172,7 @@ def test_forward_peak_is_one_weight_block(n, traced_peak):
 def _dense_grad(inst):
     # the dense specification of the gradient, from the whole P
     p = tk.compute_intermediates(inst).P
-    return (inst.A1.T @ p) @ tk.kron(inst.A2, inst.A3) / inst.d
+    return (inst.A1.T @ p) @ np.kron(inst.A2, inst.A3) / inst.d
 
 
 # (n, entries per block): one block holding every row; a prime n whose
@@ -333,7 +333,7 @@ def test_attention_row_derivative_identity():
     inst = _instance(2, 2, 9)
     n, d = inst.n, inst.d
     x0 = inst.composite_x()
-    ka = tk.kron(inst.A2, inst.A3)
+    ka = np.kron(inst.A2, inst.A3)
     f0 = exact.attention_weights(inst)
     h = 1e-6
     for a in range(d):

@@ -61,18 +61,32 @@ def test_poly_approx_past_largest_double_factorial():
     # At d = 1 the basis is the scalar series grad_fast evaluates
     g = tk.choose_degree(60.0, 5e-7)
     assert g > 170
-    c = tk.build_basis(1, g).series_weights
-    assert c[:171].tolist() == [1.0 / math.factorial(j) for j in range(171)]
     # log j! stays finite and accurate where 1/j! underflows
     logf = tk.build_basis(1, g).log_factorials
     assert np.allclose(logf, [math.lgamma(j + 1) for j in range(g + 1)], rtol=1e-14, atol=0)
+    c = np.exp(-logf)
     tail = c[171:]
     assert (tail >= 0).all() and (np.diff(tail) <= 0).all()
-    assert math.isclose(tail[0], math.exp(-math.lgamma(172)))
     assert 60.0 + (g + 1) * math.log(60.0) - math.lgamma(g + 2) <= math.log(5e-7)
     xs = np.linspace(0.0, 60.0, 61)
     got = np.polynomial.polynomial.polyval(xs, c)
     assert np.abs(got / np.exp(xs) - 1.0).max() <= 1e-12
+
+
+def test_log_factorials_are_logs_of_exact_integers():
+    # log alpha! is math.log of the exact integer prod_t alpha_t!, bit for
+    # bit: a sum of per-variable logs can sit one ulp away, and at large R
+    # that ulp moves grad_fast by more than its eps
+    def want(b):
+        return [math.log(math.prod(map(math.factorial, a))) for a in b.exponents.tolist()]
+
+    for d in range(1, 6):
+        for g in range(13):
+            b = tk.build_basis(d, g)
+            assert b.log_factorials.tolist() == want(b), (d, g)
+    # past 170, where alpha! is no longer a finite double
+    b = tk.build_basis(1, 300)
+    assert b.log_factorials.tolist() == want(b)
 
 
 def test_poly_approx_grid_error_within_remainder():
@@ -80,7 +94,7 @@ def test_poly_approx_grid_error_within_remainder():
         g = tk.choose_degree(r, eps)
         b = tk.build_basis(1, g)
         xs = np.linspace(-r, r, 1001)
-        p = tk.feature_map(xs[:, None], b) @ b.series_weights
+        p = tk.feature_map(xs[:, None], b) @ np.exp(-b.log_factorials)
         err = np.abs(p - np.exp(xs)).max()
         assert err <= _remainder(r, g) <= eps
         # remainder below e^-r forces positivity on the whole range
@@ -88,8 +102,9 @@ def test_poly_approx_grid_error_within_remainder():
 
 
 def _multinomials(b):
-    # |alpha|! / alpha!, from the series weights 1/alpha! the engine reads
-    return b.series_weights * np.array([math.factorial(m) for m in b.degrees.tolist()])
+    # |alpha|! / alpha!, exact integers from the exponents
+    return np.array([math.factorial(sum(a)) // math.prod(map(math.factorial, a))
+                     for a in b.exponents.tolist()])
 
 
 def test_basis_graded_lex_order_and_weights():
@@ -128,14 +143,8 @@ def test_basis_parent_recurrence_and_cache():
         for dst, src, length, v in b.blocks:
             step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
             assert (step == np.eye(d, dtype=int)[v]).all()
-            assert (b.degrees[src:src + length] == b.degrees[dst] - 1).all()
-        for m in range(g + 1):
-            lo, hi = b.degree_bounds[m], b.degree_bounds[m + 1]
-            assert (b.degrees[lo:hi] == m).all()
-        assert b.degree_bounds[-1] == b.size
         assert tk.build_basis(d, g) is b
-        for a in (b.exponents, b.series_weights, b.log_factorials, b.degrees,
-                  b.degree_bounds):
+        for a in (b.exponents, b.log_factorials):
             assert not a.flags.writeable
 
 
@@ -160,20 +169,20 @@ def test_basis_blocks_reproduce_recurrence():
             assert b.blocks.shape == (g * d, 4)
             assert not b.blocks.flags.writeable
             covered = np.zeros(b.size, dtype=int)
+            degrees = b.exponents.sum(axis=1)
             for dst, src, length, v in b.blocks:
                 assert length > 0
                 step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
                 assert (step == np.eye(d, dtype=int)[v]).all()
-                assert b.degrees[src] == b.degrees[dst] - 1
+                assert degrees[src] == degrees[dst] - 1
                 covered[dst:dst + length] += 1
             assert covered[0] == 0 and (covered[1:] == 1).all(), (d, g)
 
 
-@pytest.mark.parametrize("name", ["exponents", "degrees", "series_weights",
-                                  "log_factorials", "degree_bounds", "blocks"])
+@pytest.mark.parametrize("name", ["exponents", "log_factorials", "blocks"])
 def test_basis_takes_only_d_and_g(name):
     # the arrays were constructor parameters that __post_init__ overwrote,
-    # so MonomialBasis(d=2, g=2, series_weights=w) silently dropped w
+    # so MonomialBasis(d=2, g=2, log_factorials=w) silently dropped w
     with pytest.raises(TypeError, match=name):
         tk.MonomialBasis(d=2, g=2, **{name: np.ones(6)})
     assert tk.MonomialBasis(2, 2).size == 6
@@ -188,11 +197,12 @@ def test_basis_inner_product_identity():
     # <q, k>^j  ==  sum over |alpha| = j of m(alpha) q^alpha k^alpha
     rng = np.random.default_rng(0)
     b = tk.build_basis(3, 4)
+    degrees = b.exponents.sum(axis=1)
     for _ in range(20):
         q = rng.uniform(-1, 1, 3)
         k = rng.uniform(-1, 1, 3)
         for j in range(5):
-            sel = b.degrees == j
+            sel = degrees == j
             terms = (
                 _multinomials(b)[sel]
                 * np.prod(q[None, :] ** b.exponents[sel], axis=1)
@@ -224,7 +234,7 @@ def test_feature_map_reproduces_truncated_series():
         q = rng.uniform(-0.5, 0.5, (1, 2))
         k1 = rng.uniform(-0.5, 0.5, (1, 2))
         k2 = rng.uniform(-0.5, 0.5, (1, 2))
-        fq = tk.feature_map(q, b) * b.series_weights
+        fq = tk.feature_map(q, b) * np.exp(-b.log_factorials)
         f1 = tk.feature_map(k1, b)
         f2 = tk.feature_map(k2, b)
         got = float((fq @ (f1 * f2).T)[0, 0])
@@ -385,5 +395,5 @@ def test_scalar_series_fidelity_invariant():
     g = tk.choose_degree(r, 1e-6)
     b = tk.build_basis(1, g)
     xs = rng.uniform(-r, r, 1000)
-    got = tk.feature_map(xs[:, None], b) @ b.series_weights
+    got = tk.feature_map(xs[:, None], b) @ np.exp(-b.log_factorials)
     assert np.abs(got - _series(xs, g)).max() <= 1e-13

@@ -85,6 +85,34 @@ def test_private_helpers_are_read():
     assert not orphans, f"private module-level names never read: {orphans}"
 
 
+def test_library_reads_what_it_keeps():
+    # every MonomialBasis array is read as an attribute in tatkit outside the
+    # class, and every public tensorops product is called from another
+    # tatkit module (not counting the re-exports in __init__): no field or
+    # product outlives its last library reader
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tatkit", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    cls = next(stmt for stmt in trees["lowrank.py"].body
+               if isinstance(stmt, ast.ClassDef) and stmt.name == "MonomialBasis")
+    fields = {stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)} - {"d", "g"}
+    inside = {id(node) for node in ast.walk(cls)}
+    products = {stmt.name for stmt in trees["tensorops.py"].body
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    attrs, called = set(), set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside):
+                attrs.add(node.attr)
+            if name not in ("tensorops.py", "__init__.py") and isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    assert fields and products
+    unread = sorted(fields - attrs) + sorted(products - called)
+    assert not unread, f"kept but never read by the library: {unread}"
+
+
 def _holds_abs(expr, abs_names):
     # an abs call, or a name the function bound to an expression holding one
     return any((isinstance(node, ast.Call) and "abs" in (getattr(node.func, "attr", None),
