@@ -25,6 +25,15 @@ factor triple; it computes the same contractions in five stages:
   U1 = Phi(Q) diag(c) / d~ is never formed.
 - ``assemble``: the d x d^2 gradient from the three d x k5 contractions.
 
+Operand layouts.  Both sides of a GEMM are read in place: Phi's blocks as
+k1 x n row blocks of the k1 x 3n buffer, the key operands as the transpose
+of ``key_operands``' 2 x (d+1)^2 x n buffer and the query operand as the
+transpose of its d(d+1) x n rows.  One-thread OpenBLAS multiplies a
+C-contiguous n x (d+1)^2 key operand faster at d = 3 and n <= 256, but
+copying the operand into that layout cost more than the GEMM saved at
+d = 2, and whole calls at n = 64, d = 3 read 3-7% slower with the copy; an
+n-major query operand cost more to write than its GEMM saved.
+
 No step ever materializes an n x n^2 (or even n x n) buffer.  The largest is
 the feature buffer, 3 n k1 entries; every other one is O(n d^2).  The report
 carries what the call chose (degree, ranks, R and the stage timings);

@@ -57,7 +57,7 @@ class HardInstance:
             raise ValidationError(f"H must be {n} x {n * n}, got {h.shape}")
         if v.shape != (n * n, d):
             raise ValidationError(f"V must be {n * n} x {d}, got {v.shape}")
-        if h.min() < 1 or h.max() > self.Ba:
+        if not (h.min() >= 1 and h.max() <= self.Ba):  # a nan fails too
             raise ValidationError("H entries must lie in [1, Ba]")
         if not ((v == 0.0) | (v == 1.0)).all():  # a nan fails too
             raise ValidationError("V entries must be 0 or 1")

@@ -5,34 +5,66 @@ the polynomial method (the fast engine's feature map), the bilinear form
 ``U[j] @ G @ V[j]`` per row (only the specification builder
 ``build_Pb_factors``) and the per-row sums of the hard-instance curve (the
 probe).  Each is a few whole-array operations with no Python loop over rows.
-The probe kernel's one scratch buffer, L x n x n^2 for a block of L lambdas,
-is updated in place, so the caller's block size bounds all of its scratch.
+The feature kernel loops over the runs of its basis, in one of two
+schedules picked by the row length against ``SHORT_ROWS``.  The probe
+kernel's one scratch buffer, L x n x n^2 for a block of L lambdas, is
+updated in place, so the caller's block size bounds all of its scratch.
 """
 
 import numpy as np
 
+# The longest row of the k x n feature buffer (n = M's row count) that
+# ``feature_rows`` fills against a gathered factor block; longer rows
+# broadcast one degree-1 row per run.  Measured on a 2-vCPU Xeon VM (numpy
+# 2.4.6), d = 2..4, g = 4..9: the factor block took 0.61-0.96 of the
+# broadcast schedule's time at 192 to 2048 columns, 0.81-1.04 at 3072 and
+# 1.04-1.68 at 6144.  grad_fast's rows are 3n long: 192 at n = 64, d = 3,
+# and 6144 at n = 2048, d = 2.
+SHORT_ROWS = 2048
 
-def feature_rows(M, size, blocks):
-    """Raw monomials of each row of ``M`` over a ``size``-entry graded basis.
 
-    Column 0 is the constant 1.  The first d rows of ``blocks`` are the
-    degree-1 runs, columns 1..d, which are M's columns: they are copied in
-    one step (none exist when the basis is column 0 alone).  Each later row
-    (dst, src, length, v) fills columns ``dst:dst + length`` as columns
-    ``src:src + length``, filled earlier, times column 1 + v, which is
-    ``M[:, v]``: one product on contiguous slices, with no gather.  O(n k)
-    work with no buffer larger than the n x k output.
+def feature_rows(M, basis):
+    """Raw monomials of each row of ``M`` over the graded ``basis``.
+
+    Column 0 is the constant 1.  Columns 1..d are the degree-1 entries,
+    M's columns: they are copied in one step (none exist when the basis is
+    column 0 alone).  Each later run of ``basis.blocks``, (dst, src, length,
+    v), fills columns ``dst:dst + length`` as columns ``src:src + length``,
+    filled earlier, times column 1 + v, one product per run, in one of two
+    schedules chosen by the row length n of the k x n buffer the result
+    transposes:
+
+    - up to ``SHORT_ROWS``, one fancy-index gather copies the degree-1 rows
+      into a factor block, rows ``basis.factor_rows``: row 1 + v repeated
+      as often as v's longest run.  Each run, as the slices (dst, src,
+      factor) of ``basis.run_slices``, is then one product of contiguous
+      rows.  numpy runs a product that broadcasts one row over several
+      through its buffered iterator, which nearly doubles its time at these
+      lengths (1.7 against 0.9 us for 6 x 192 entries);
+    - past it, each run multiplies by row 1 + v broadcast, with no factor
+      block; there the gather's extra pass and allocation cost more than
+      the broadcast.
+
+    Both do the same products in the same order, so their results agree
+    bit for bit.  O(n k) work; the short schedule's factor block holds the
+    longest run of each variable, the other schedule allocates nothing but
+    the n x k output.
 
     The result is the transpose of a k x n buffer, so each block is a run of
     whole rows of that buffer.  ``M`` is read once, by that copy, in any
     layout.
     """
     d = M.shape[1]
-    out = np.empty((size, M.shape[0]))
+    out = np.empty((basis.size, M.shape[0]))
     out[0] = 1.0
-    out[1:d + 1] = M.T[:size - 1]
-    for dst, src, length, v in blocks[d:].tolist():
-        np.multiply(out[src:src + length], out[1 + v], out=out[dst:dst + length])
+    out[1:d + 1] = M.T[:basis.size - 1]
+    if M.shape[0] <= SHORT_ROWS:
+        factors = out[basis.factor_rows]
+        for dst, src, factor in basis.run_slices:
+            np.multiply(out[src], factors[factor], out=out[dst])
+    else:
+        for dst, src, length, v in basis.blocks[d:].tolist():
+            np.multiply(out[src:src + length], out[1 + v], out=out[dst:dst + length])
     return out.T
 
 

@@ -104,7 +104,13 @@ class MonomialBasis:
     ``src:src + length`` times variable v, so ``exponents[dst:dst + length]``
     is ``exponents[src:src + length] + e_v``.  ``kernels.feature_rows``
     walks the same table, and every per-entry array is filled run by run
-    from it.  Entry 0 is the constant monomial.
+    from it.  Entry 0 is the constant monomial.  For the kernel's
+    short-row schedule the table is also kept in index form, built once
+    here: ``factor_rows`` lists the rows of a factor block, entry 1 + v
+    (the degree-1 entry of variable v) repeated as often as v's longest
+    run past degree 1, variable by variable, and ``run_slices`` holds one
+    (dst, src, factor) triple of slices per run past degree 1, so that
+    entries dst are entries src times factor-block rows factor.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
     from its source run, and ``log_factorials`` holds ``math.log`` of it per
@@ -115,7 +121,8 @@ class MonomialBasis:
     g = 132) by 1.2e-6 relative, more than its eps of 1e-6.
 
     The constructor takes d and g only: every array is derived from them,
-    and passing one raises ``TypeError``.  All arrays are read-only.
+    and passing one raises ``TypeError``.  All arrays are read-only, and
+    ``run_slices`` is a tuple.
     Equality and hashing are by identity (``eq=False``): generated ones
     would compare the arrays, and numpy arrays neither compare to one bool
     nor hash.  ``build_basis`` hands out one shared basis per (d, g).
@@ -126,6 +133,8 @@ class MonomialBasis:
     exponents: np.ndarray = field(init=False)
     log_factorials: np.ndarray = field(init=False)
     blocks: np.ndarray = field(init=False)
+    factor_rows: np.ndarray = field(init=False)
+    run_slices: tuple = field(init=False)
 
     def __post_init__(self):
         d, g = self.d, self.g
@@ -140,7 +149,7 @@ class MonomialBasis:
             )
         exps = np.zeros((size, d), dtype=np.int64)
         denoms = np.ones(size, dtype=object)  # exact integers alpha!
-        runs = []
+        runs, longest = [], [0] * d
         i = 1  # degree 0 is entry 0 alone
         for m in range(1, g + 1):
             lo = i  # degree m - 1 ends where degree m starts
@@ -152,12 +161,22 @@ class MonomialBasis:
                 exps[run, v] += 1
                 denoms[run] = denoms[src:lo] * exps[run, v].astype(object)
                 runs.append((i, src, length, v))
+                if m > 1:
+                    longest[v] = max(longest[v], length)
                 i += length
         logf = np.array([math.log(q) for q in denoms.tolist()])
         blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
-        for name, a in (("exponents", exps), ("log_factorials", logf), ("blocks", blocks)):
+        # variable v's rows of the factor block start where v - 1's end
+        starts = np.cumsum([0] + longest[:-1]).tolist()
+        factor_rows = np.repeat(np.arange(1, d + 1, dtype=np.intp), longest)
+        for name, a in (("exponents", exps), ("log_factorials", logf), ("blocks", blocks),
+                        ("factor_rows", factor_rows)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "run_slices", tuple(
+            (slice(dst, dst + length), slice(src, src + length),
+             slice(starts[v], starts[v] + length))
+            for dst, src, length, v in runs[d:]))
 
     @property
     def size(self):
@@ -189,7 +208,7 @@ def feature_map(m, basis):
         raise ValidationError(
             f"feature_map input has {m.shape[1]} columns, basis expects {basis.d}"
         )
-    return kernels.feature_rows(m, basis.size, basis.blocks)
+    return kernels.feature_rows(m, basis)
 
 
 @dataclass(frozen=True)
@@ -277,7 +296,8 @@ def key_operands(inst, v1, v2):
 
 def check_row_normalizer(d_tilde):
     """Raise ``NumericalError`` unless every row normalizer is positive and finite."""
-    if not (np.isfinite(d_tilde) & (d_tilde > 0)).all():
+    # two reductions: a nan fails the first comparison, an inf the second
+    if not (np.minimum.reduce(d_tilde) > 0 and np.maximum.reduce(d_tilde) < np.inf):
         raise NumericalError("nonpositive or non-finite row normalizer in the factored "
                              "attention matrix: eps too coarse or features overflowed")
 

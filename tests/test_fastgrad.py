@@ -375,16 +375,19 @@ def _profile_events(fn, *args):
 
 # One warm grad_fast made 137 call and c_call events at (n, d) = (64, 3)
 # (52 call, 85 c_call) and 129 at (8, 2) (48, 81) before its fixed cost
-# was cut, then 91 and 83, then 97 and 89 once it scaled its features, and
-# makes 98 (37, 61) and 90 (33, 57) now that lowrank.staged_features holds
-# that stage, with numpy 2.4.6 on CPython 3.11.7.  The count includes
-# grad_fast's own call and the c_call of sys.setprofile(None); 7 are the
-# assemble's np.einsum, whose dispatcher is a generator, and 28 and 22 are
-# choose_degree's search.
+# was cut, then 91 and 83, then 97 and 89 once it scaled its features, then
+# 98 (37, 61) and 90 (33, 57) once lowrank.staged_features held that stage,
+# and makes 97 (37, 60) and 89 (33, 56) now that short feature rows take no
+# .tolist() of the run table, with numpy 2.4.6 on CPython 3.11.7.  Both
+# take feature_rows' short-row schedule; (2048, 2), 98 (37, 61), takes the
+# long-row one.  The count includes grad_fast's own call and the c_call of
+# sys.setprofile(None); 7 are the assemble's np.einsum, whose dispatcher is
+# a generator, and 28 and 22 are choose_degree's search at (64, 3) and
+# (8, 2).
 FIXED_COST_EVENTS = 100
 
 
-@pytest.mark.parametrize("n, d", [(64, 3), (8, 2)])
+@pytest.mark.parametrize("n, d", [(64, 3), (8, 2), (2048, 2)])
 def test_grad_fast_fixed_cost_events(n, d):
     # a deterministic gate on per-call Python and C-call overhead: it does
     # not depend on n, the degree or the machine's speed

@@ -48,6 +48,17 @@ def test_hard_instance_validation():
         tk.HardInstance(n=2, d=1, Ba=2.0, H=good.H, V=np.where(good.V == 1.0, np.nan, 0.0))
 
 
+def test_hard_instance_rejects_nan_in_h():
+    # nan < 1 and nan > Ba are both false, so a nan entry passed the range
+    # check, and curve later failed with a misleading row-sum overflow
+    hi = tk.make_hard_instance(2, 1, 2.0, 3)
+    for row, col in ((0, 0), (1, 0)):
+        h = hi.H.copy()
+        h[row, col] = np.nan
+        with pytest.raises(ValidationError, match=r"\[1, Ba\]"):
+            tk.HardInstance(n=2, d=1, Ba=2.0, H=h, V=hi.V)
+
+
 def test_f_uniform_all_ones():
     hi = tk.HardInstance(n=2, d=1, Ba=1.0, H=np.ones((2, 4)), V=np.ones((4, 1)))
     assert hardness.curve(hi, [0.0]).f[0] == pytest.approx(2.0)  # n * d

@@ -26,25 +26,33 @@ def test_feature_rows_matches_oracle():
                 assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all(), (d, g, weighted)
 
 
-def test_feature_map_matches_gather_bit_for_bit():
-    # the slice recurrence does the same products as one gather per degree
+def test_feature_map_matches_gather_bit_for_bit(monkeypatch):
+    # both schedules of feature_rows do the same products as one gather per
+    # degree: rows on each side of SHORT_ROWS, and 37 rows with the constant
+    # moved to either side of them, so the largest bases run both schedules
+    # at a small size
     rng = np.random.default_rng(1)
-    for d in (1, 2, 3, 5):
-        m = rng.uniform(-1.5, 1.5, (37, d))
+    short = kernels.SHORT_ROWS
+    for n, short_rows in ((short, short), (short + 1, short), (37, 37), (37, 36)):
+        monkeypatch.setattr(kernels, "SHORT_ROWS", short_rows)
+        m = rng.uniform(-1.5, 1.5, (n, 5))
         m[5] = 0.0
-        for g in (0, 1, 6, 12):
-            b = tk.build_basis(d, g)
-            got = tk.feature_map(m, b)
-            # the gather's index arrays, one entry per column, from the run table
-            parents = np.full(b.size, -1, dtype=np.intp)
-            variables = np.full(b.size, -1, dtype=np.intp)
-            for dst, src, length, v in b.blocks:
-                parents[dst:dst + length] = np.arange(src, src + length)
-                variables[dst:dst + length] = v
-            # entries of degree m start where the exponent sums first reach m
-            bounds = np.searchsorted(b.exponents.sum(axis=1), np.arange(g + 2))
-            want = feature_rows_gather(m, parents, variables, bounds)
-            assert np.array_equal(got, want), (d, g)
+        for d in (1, 2, 3, 5):
+            for g in (0, 1, 6, 12):
+                b = tk.build_basis(d, g)
+                if b.size * n > 1 << 21:  # d = 5, g = 12 past 37 rows: 100 MB
+                    continue
+                got = tk.feature_map(m[:, :d], b)
+                # the gather's index arrays, one entry per column, from the run table
+                parents = np.full(b.size, -1, dtype=np.intp)
+                variables = np.full(b.size, -1, dtype=np.intp)
+                for dst, src, length, v in b.blocks:
+                    parents[dst:dst + length] = np.arange(src, src + length)
+                    variables[dst:dst + length] = v
+                # entries of degree m start where the exponent sums first reach m
+                bounds = np.searchsorted(b.exponents.sum(axis=1), np.arange(g + 2))
+                want = feature_rows_gather(m[:, :d], parents, variables, bounds)
+                assert np.array_equal(got, want), (n, short_rows, d, g)
 
 
 def test_feature_map_reads_staged_rows_in_place(traced_peak):

@@ -144,7 +144,7 @@ def test_basis_parent_recurrence_and_cache():
             step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
             assert (step == np.eye(d, dtype=int)[v]).all()
         assert tk.build_basis(d, g) is b
-        for a in (b.exponents, b.log_factorials):
+        for a in (b.exponents, b.log_factorials, b.factor_rows):
             assert not a.flags.writeable
 
 
@@ -179,7 +179,26 @@ def test_basis_blocks_reproduce_recurrence():
             assert covered[0] == 0 and (covered[1:] == 1).all(), (d, g)
 
 
-@pytest.mark.parametrize("name", ["exponents", "log_factorials", "blocks"])
+def test_basis_run_slices_are_the_run_table():
+    # the short-row schedule's index form: one (dst, src, factor) per run
+    # past degree 1, in the run table's order, and every factor-block row
+    # it reads is the run's variable's degree-1 entry; each variable's rows
+    # are one contiguous stretch, as long as its longest run
+    for d in range(1, 6):
+        for g in range(13):
+            b = tk.build_basis(d, g)
+            assert isinstance(b.run_slices, tuple)
+            assert len(b.run_slices) == max(g - 1, 0) * d
+            longest = np.zeros(d, dtype=int)
+            for (dst, src, factor), (d0, s0, length, v) in zip(b.run_slices, b.blocks[d:]):
+                assert (dst.start, dst.stop, src.start, src.stop) == (d0, d0 + length, s0, s0 + length)
+                assert (b.factor_rows[factor] == 1 + v).all() and factor.stop - factor.start == length
+                longest[v] = max(longest[v], length)
+            assert (b.factor_rows == np.repeat(np.arange(1, d + 1), longest)).all(), (d, g)
+
+
+@pytest.mark.parametrize("name", ["exponents", "log_factorials", "blocks", "factor_rows",
+                                  "run_slices"])
 def test_basis_takes_only_d_and_g(name):
     # the arrays were constructor parameters that __post_init__ overwrote,
     # so MonomialBasis(d=2, g=2, log_factorials=w) silently dropped w
