@@ -26,6 +26,7 @@ the exact engine's (``exact``).
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ class HardInstance:
     V: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1 or self.d < 1:
+            raise ValidationError(f"n and d must be positive, got n={self.n} d={self.d}")
         if self.Ba < 1:
             raise ValidationError(f"Ba must be at least 1, got {self.Ba}")
         h = np.ascontiguousarray(np.asarray(self.H, dtype=np.float64))
@@ -162,9 +165,8 @@ def sweep(hi, t, fixed=0):
     ~1 MiB more process memory.  f' is summed in grid order, so s_t does
     not depend on the blocking or on the fixed grid.
     """
-    t = int(t)
-    if t < 1:
-        raise ValidationError(f"t must be at least 1, got {t}")
+    if not (isinstance(t, numbers.Integral) and t >= 1):  # a float is not truncated
+        raise ValidationError(f"t must be at least 1 and an integer, got {t!r}")
     step = max(fixed, 1)  # k/t is the key k * step, j/fixed the key j * t
     denom, points = t * step, fixed + 1 if fixed else 0
     block = _probe_block(hi, 1.0 if fixed else (t - 1) / t)

@@ -1,6 +1,7 @@
 """Problem instances for the third-order attention loss."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,11 @@ class AttnInstance:
 
 def philox(seed):
     """The counter-based Philox generator keyed by ``seed``, an integer in [0, 2^128)."""
-    seed = int(seed)
-    if not 0 <= seed < 1 << 128:  # numpy's key range; it raises a bare ValueError outside it
-        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    # numpy's key range, where it raises a bare ValueError outside; a float
+    # seed is refused, not truncated
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
+        raise ValidationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def random_instance(n, d, bound, seed):

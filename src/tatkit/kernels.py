@@ -5,8 +5,8 @@ the polynomial method (the fast engine's feature map), the bilinear form
 ``U[j] @ G @ V[j]`` per row (only the specification builder
 ``build_Pb_factors``) and the per-row sums of the hard-instance curve (the
 probe).  Each is a few whole-array operations with no Python loop over rows.
-The feature kernel loops over the runs of its basis, in one of two
-schedules picked by the row length against ``SHORT_ROWS``.  The probe
+The feature kernel loops over its basis' one run table, ``runs``, in one
+of two schedules picked by the row length against ``SHORT_ROWS``.  The probe
 kernel's one scratch buffer, L x n x n^2 for a block of L lambdas, is
 updated in place, so the caller's block size bounds all of its scratch.
 """
@@ -28,20 +28,20 @@ def feature_rows(M, basis):
 
     Column 0 is the constant 1.  Columns 1..d are the degree-1 entries,
     M's columns: they are copied in one step (none exist when the basis is
-    column 0 alone).  Each later run of ``basis.blocks``, (dst, src, length,
-    v), fills columns ``dst:dst + length`` as columns ``src:src + length``,
-    filled earlier, times column 1 + v, one product per run, in one of two
-    schedules chosen by the row length n of the k x n buffer the result
-    transposes:
+    column 0 alone).  Each run of ``basis.runs``, (dst, src, factor, row),
+    fills columns dst as columns src, filled earlier, times column
+    ``row`` = 1 + v, the degree-1 entry of the run's variable v: one
+    product per run, in one of two schedules chosen by the row length n of
+    the k x n buffer the result transposes, which walk the same table:
 
     - up to ``SHORT_ROWS``, one fancy-index gather copies the degree-1 rows
       into a factor block, rows ``basis.factor_rows``: row 1 + v repeated
-      as often as v's longest run.  Each run, as the slices (dst, src,
-      factor) of ``basis.run_slices``, is then one product of contiguous
-      rows.  numpy runs a product that broadcasts one row over several
-      through its buffered iterator, which nearly doubles its time at these
-      lengths (1.7 against 0.9 us for 6 x 192 entries);
-    - past it, each run multiplies by row 1 + v broadcast, with no factor
+      as often as v's longest run.  Each run is then one product of
+      contiguous rows, src times the block's rows ``factor``.  numpy runs a
+      product that broadcasts one row over several through its buffered
+      iterator, which nearly doubles its time at these lengths (1.7 against
+      0.9 us for 6 x 192 entries);
+    - past it, each run multiplies by row ``row`` broadcast, with no factor
       block; there the gather's extra pass and allocation cost more than
       the broadcast.
 
@@ -60,11 +60,11 @@ def feature_rows(M, basis):
     out[1:d + 1] = M.T[:basis.size - 1]
     if M.shape[0] <= SHORT_ROWS:
         factors = out[basis.factor_rows]
-        for dst, src, factor in basis.run_slices:
+        for dst, src, factor, _ in basis.runs:
             np.multiply(out[src], factors[factor], out=out[dst])
     else:
-        for dst, src, length, v in basis.blocks[d:].tolist():
-            np.multiply(out[src:src + length], out[1 + v], out=out[dst:dst + length])
+        for dst, src, _, row in basis.runs:
+            np.multiply(out[src], out[row], out=out[dst])
     return out.T
 
 

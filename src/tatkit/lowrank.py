@@ -7,10 +7,11 @@ into an inner product of monomial feature vectors:
     exp(<q, k>) ~ sum_{|alpha| <= g}  (q^alpha / prod_t alpha_t!) * k^alpha,
 
 where k = k1 * k2 entrywise, so k^alpha = k1^alpha * k2^alpha splits into the
-two key-side factors.  :class:`MonomialBasis` is that series, built from
-its run table: each run of degree-m entries is one variable times a run of
-degree m - 1, the table ``kernels.feature_rows`` walks, and every per-entry
-array (exponents, the exact integers alpha!) is filled run by run from it.
+two key-side factors.  :func:`choose_degree` picks g by one log-space test
+of the Lagrange remainder.  :class:`MonomialBasis` is that series: each run
+of degree-m entries is one variable times a run of degree m - 1, every
+per-entry array (exponents, the exact integers alpha!) is filled run by
+run, and both schedules of ``kernels.feature_rows`` walk its one run table.
 Its one coefficient form is ``log_factorials``, log alpha! of those exact
 integers: the series' coefficients 1/alpha! are exp(-log alpha!), and the
 engine folds them into its weights in log space, where no alpha! overflows.
@@ -43,21 +44,15 @@ RANK_CAP = 100_000
 MATERIALIZE_CAP = 32
 
 
-def _log_remainder(r, g):
-    # log of e^r * r^(g+1) / (g+1)!
-    if r == 0.0:
-        return -math.inf
-    return r + (g + 1) * math.log(r) - math.lgamma(g + 2)
-
-
 def choose_degree(r, eps):
     """Smallest truncation degree meeting the remainder target on [-r, r].
 
     Returns the least g with ``e^r r^(g+1)/(g+1)! <= eps``, the Lagrange
     remainder on [-r, r], that also keeps the remainder below ``e^-r``, so
     every approximated attention weight stays positive and the row
-    normalizer cannot vanish.  Always terminates: the factorial beats the
-    power.
+    normalizer cannot vanish.  The test runs in log space, where r = 0
+    (remainder 0, no log) gets g = 0.  Always terminates: the factorial
+    beats the power.
     """
     if not math.isfinite(r):
         raise ValidationError(f"range must be finite, got {r}")
@@ -65,20 +60,21 @@ def choose_degree(r, eps):
         raise ValidationError(f"range must be nonnegative, got {r}")
     if not (0 < eps < 1):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    log_eps = math.log(eps)
+    if r == 0.0:
+        return 0
+    log_eps, log_r = math.log(eps), math.log(r)
 
     def ok(g):
-        lb = _log_remainder(r, g)
+        lb = r + (g + 1) * log_r - math.lgamma(g + 2)  # log of the remainder
         return lb <= log_eps and lb < -r
 
-    if ok(0):
-        return 0
-    # when g=0 fails, the feasible set is an upper ray (the remainder rises
-    # until g ~ r - 2 and falls after), so double then bisect
-    hi = 1
+    # the log remainder rises until g ~ r - 2 and falls after, so when g = 0
+    # fails the feasible set is an upper ray: probe g = 0, 1, 3, 7, ... and
+    # bisect between the last failure and the first success
+    hi = 0
     while not ok(hi):
-        hi *= 2
-    lo = hi // 2
+        hi = 2 * hi + 1
+    lo = (hi - 1) // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -99,18 +95,16 @@ class MonomialBasis:
     The basis is built from its runs.  In this order the entries of degree
     m whose first nonzero exponent is v are one contiguous run, and they are
     e_v plus the last C(m+d-2-v, d-1-v) entries of degree m - 1, in the
-    same order.  ``blocks`` lists these runs, one row (dst, src, length, v)
-    per (m, v) with m >= 1: entries ``dst:dst + length`` are entries
-    ``src:src + length`` times variable v, so ``exponents[dst:dst + length]``
-    is ``exponents[src:src + length] + e_v``.  ``kernels.feature_rows``
-    walks the same table, and every per-entry array is filled run by run
-    from it.  Entry 0 is the constant monomial.  For the kernel's
-    short-row schedule the table is also kept in index form, built once
-    here: ``factor_rows`` lists the rows of a factor block, entry 1 + v
-    (the degree-1 entry of variable v) repeated as often as v's longest
-    run past degree 1, variable by variable, and ``run_slices`` holds one
-    (dst, src, factor) triple of slices per run past degree 1, so that
-    entries dst are entries src times factor-block rows factor.
+    same order; every per-entry array is filled run by run.  Entry 0 is the
+    constant monomial and entries 1..d, the runs of degree 1, are e_0..e_{d-1}.
+    ``runs`` is the one run table, which both schedules of
+    ``kernels.feature_rows`` walk: one (dst, src, factor, row) per run past
+    degree 1, in order, where dst and src are slices of entries, so
+    ``exponents[dst]`` is ``exponents[src] + e_v``, ``row`` = 1 + v is the
+    degree-1 entry of variable v, and ``factor`` is a slice of the short-row
+    schedule's factor block.  That block's rows are ``factor_rows``: row
+    1 + v repeated as often as v's longest run past degree 1, variable by
+    variable, so ``factor_rows[factor]`` is ``row`` throughout.
 
     Each run also carries the exact integer alpha! = prod_t alpha_t! forward
     from its source run, and ``log_factorials`` holds ``math.log`` of it per
@@ -122,7 +116,7 @@ class MonomialBasis:
 
     The constructor takes d and g only: every array is derived from them,
     and passing one raises ``TypeError``.  All arrays are read-only, and
-    ``run_slices`` is a tuple.
+    ``runs`` is a tuple.
     Equality and hashing are by identity (``eq=False``): generated ones
     would compare the arrays, and numpy arrays neither compare to one bool
     nor hash.  ``build_basis`` hands out one shared basis per (d, g).
@@ -132,9 +126,8 @@ class MonomialBasis:
     g: int
     exponents: np.ndarray = field(init=False)
     log_factorials: np.ndarray = field(init=False)
-    blocks: np.ndarray = field(init=False)
     factor_rows: np.ndarray = field(init=False)
-    run_slices: tuple = field(init=False)
+    runs: tuple = field(init=False)
 
     def __post_init__(self):
         d, g = self.d, self.g
@@ -160,23 +153,22 @@ class MonomialBasis:
                 exps[run] = exps[src:lo]
                 exps[run, v] += 1
                 denoms[run] = denoms[src:lo] * exps[run, v].astype(object)
-                runs.append((i, src, length, v))
                 if m > 1:
+                    runs.append((i, src, length, v))
                     longest[v] = max(longest[v], length)
                 i += length
         logf = np.array([math.log(q) for q in denoms.tolist()])
-        blocks = np.array(runs, dtype=np.intp).reshape(-1, 4)
         # variable v's rows of the factor block start where v - 1's end
         starts = np.cumsum([0] + longest[:-1]).tolist()
         factor_rows = np.repeat(np.arange(1, d + 1, dtype=np.intp), longest)
-        for name, a in (("exponents", exps), ("log_factorials", logf), ("blocks", blocks),
+        for name, a in (("exponents", exps), ("log_factorials", logf),
                         ("factor_rows", factor_rows)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "run_slices", tuple(
+        object.__setattr__(self, "runs", tuple(
             (slice(dst, dst + length), slice(src, src + length),
-             slice(starts[v], starts[v] + length))
-            for dst, src, length, v in runs[d:]))
+             slice(starts[v], starts[v] + length), 1 + v)
+            for dst, src, length, v in runs))
 
     @property
     def size(self):

@@ -519,6 +519,22 @@ def test_instance_validation():
                         Y1=np.ones((1, 1)), Y2=np.ones((1, 1)))
 
 
+def test_seed_must_be_an_integer():
+    # a float seed was truncated by int(): seed 1.5 drew seed 1's bytes, and
+    # the hard generator's 2.9 drew seed 2's
+    for seed in (1.5, 1.0, np.float64(2.0), math.nan, math.inf):
+        with pytest.raises(ValidationError, match="seed must be an integer in"):
+            tk.random_instance(3, 2, 0.8, seed)
+    with pytest.raises(ValidationError, match="seed must be an integer in"):
+        tk.make_hard_instance(2, 1, 2.0, 2.9)
+    # Python and numpy integers key the same generator
+    for seed in (np.int64(1), np.uint8(1)):
+        assert tk.random_instance(3, 2, 0.8, seed).A1.tobytes() == \
+            tk.random_instance(3, 2, 0.8, 1).A1.tobytes()
+    assert tk.make_hard_instance(2, 1, 2.0, np.int32(2)).H.tobytes() == \
+        tk.make_hard_instance(2, 1, 2.0, 2).H.tobytes()
+
+
 def test_forward_deterministic():
     inst = _instance(6, 2, 12)
     assert tk.forward(inst).tobytes() == tk.forward(inst).tobytes()

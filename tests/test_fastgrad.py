@@ -377,13 +377,15 @@ def _profile_events(fn, *args):
 # (52 call, 85 c_call) and 129 at (8, 2) (48, 81) before its fixed cost
 # was cut, then 91 and 83, then 97 and 89 once it scaled its features, then
 # 98 (37, 61) and 90 (33, 57) once lowrank.staged_features held that stage,
-# and makes 97 (37, 60) and 89 (33, 56) now that short feature rows take no
-# .tolist() of the run table, with numpy 2.4.6 on CPython 3.11.7.  Both
-# take feature_rows' short-row schedule; (2048, 2), 98 (37, 61), takes the
-# long-row one.  The count includes grad_fast's own call and the c_call of
-# sys.setprofile(None); 7 are the assemble's np.einsum, whose dispatcher is
-# a generator, and 28 and 22 are choose_degree's search at (64, 3) and
-# (8, 2).
+# then 97 (37, 60) and 89 (33, 56) once short feature rows took no
+# .tolist() of the run table, with 98 (37, 61) at (2048, 2).  It makes 82
+# (29, 53) at all three now that choose_degree tests the remainder in one
+# function and both feature schedules walk one run table, with numpy 2.4.6
+# on CPython 3.11.7.  (64, 3) and (8, 2) take feature_rows' short-row
+# schedule and (2048, 2) the long-row one.  The count includes grad_fast's
+# own call and the c_call of sys.setprofile(None); 7 are the assemble's
+# np.einsum, whose dispatcher is a generator, and 16 are choose_degree's
+# search, its own call included, at all three (31, 23 and 31 before).
 FIXED_COST_EVENTS = 100
 
 

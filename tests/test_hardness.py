@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -46,6 +47,16 @@ def test_hard_instance_validation():
         tk.HardInstance(n=2, d=1, Ba=2.0, H=good.H, V=good.V + 0.5)
     with pytest.raises(ValidationError, match="0 or 1"):
         tk.HardInstance(n=2, d=1, Ba=2.0, H=good.H, V=np.where(good.V == 1.0, np.nan, 0.0))
+
+
+def test_hard_instance_checks_n_and_d_first():
+    # n = 0 ended in numpy's bare ValueError from H.min() of an empty H, and
+    # d = 0 with a (1, 0) V constructed
+    for n, d, h, v in ((0, 1, np.empty((0, 0)), np.empty((0, 1))),
+                       (1, 0, np.full((1, 1), 2.0), np.empty((1, 0))),
+                       (-1, 1, np.empty((0, 0)), np.empty((0, 1)))):
+        with pytest.raises(ValidationError, match="n and d must be positive"):
+            tk.HardInstance(n=n, d=d, Ba=2.0, H=h, V=v)
 
 
 def test_hard_instance_rejects_nan_in_h():
@@ -241,6 +252,14 @@ def test_avg_estimate_validation():
     hi = tk.make_hard_instance(2, 1, 2.0, 0)
     with pytest.raises(ValidationError):
         tk.avg_estimate(hi, 0)
+    # t went through int() before its check: nan raised a bare ValueError,
+    # inf an OverflowError, and 2.7 ran the t = 2 grid
+    for t in (math.nan, math.inf, 2.7, 2.0, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="t must be at least 1 and an integer"):
+            tk.avg_estimate(hi, t)
+        with pytest.raises(ValidationError, match="t must be at least 1 and an integer"):
+            hardness.sweep(hi, t, 4)
+    assert tk.avg_estimate(hi, np.int64(3)) == tk.avg_estimate(hi, 3)
 
 
 def test_overflow_guard(monkeypatch):

@@ -43,12 +43,16 @@ def test_feature_map_matches_gather_bit_for_bit(monkeypatch):
                 if b.size * n > 1 << 21:  # d = 5, g = 12 past 37 rows: 100 MB
                     continue
                 got = tk.feature_map(m[:, :d], b)
-                # the gather's index arrays, one entry per column, from the run table
+                # the gather's index arrays, one entry per column: the
+                # degree-1 entries are the constant times e_v, the rest come
+                # from the run table
                 parents = np.full(b.size, -1, dtype=np.intp)
                 variables = np.full(b.size, -1, dtype=np.intp)
-                for dst, src, length, v in b.blocks:
-                    parents[dst:dst + length] = np.arange(src, src + length)
-                    variables[dst:dst + length] = v
+                parents[1:d + 1] = 0
+                variables[1:d + 1] = np.arange(d)[:b.size - 1]
+                for dst, src, factor, row in b.runs:
+                    parents[dst] = np.arange(src.start, src.stop)
+                    variables[dst] = row - 1
                 # entries of degree m start where the exponent sums first reach m
                 bounds = np.searchsorted(b.exponents.sum(axis=1), np.arange(g + 2))
                 want = feature_rows_gather(m[:, :d], parents, variables, bounds)

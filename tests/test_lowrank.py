@@ -32,6 +32,27 @@ def test_choose_degree_is_minimal_and_positive():
                 assert bigger > eps or bigger >= math.exp(-r)
 
 
+def test_choose_degree_matches_a_scan():
+    # the doubling-and-bisection search against a scan g = 0, 1, 2, ... with
+    # the same log-space remainder test: the search returns the least g
+    def scan(r, eps):
+        if r == 0.0:
+            return 0
+        g = 0
+        while True:
+            lb = r + (g + 1) * math.log(r) - math.lgamma(g + 2)
+            if lb <= math.log(eps) and lb < -r:
+                return g
+            g += 1
+
+    rng = np.random.default_rng(4)
+    rs = [0.0, 1e-300, 1e-10, 0.5, 1.0, 2.5] + np.linspace(0.25, 60.0, 240).tolist()
+    rs += rng.uniform(0.0, 60.0, 60).tolist() + np.exp(rng.uniform(-20.0, 4.1, 60)).tolist()
+    for r in rs:
+        for eps in (0.5, 1e-2, 1e-4, 5e-7, 1e-6, 1e-8, 1e-12, 1e-15):
+            assert tk.choose_degree(r, eps) == scan(r, eps), (r, eps)
+
+
 def test_choose_degree_validation():
     with pytest.raises(ValidationError):
         tk.choose_degree(-1.0, 1e-6)
@@ -140,9 +161,10 @@ def test_basis_parent_recurrence_and_cache():
     for d, g in ((1, 5), (2, 7), (3, 6), (4, 4)):
         b = tk.build_basis(d, g)
         assert (b.exponents[0] == 0).all()
-        for dst, src, length, v in b.blocks:
-            step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
-            assert (step == np.eye(d, dtype=int)[v]).all()
+        assert (b.exponents[1:d + 1] == np.eye(d, dtype=int)).all()
+        for dst, src, factor, row in b.runs:
+            step = b.exponents[dst] - b.exponents[src]
+            assert (step == np.eye(d, dtype=int)[row - 1]).all()
         assert tk.build_basis(d, g) is b
         for a in (b.exponents, b.log_factorials, b.factor_rows):
             assert not a.flags.writeable
@@ -161,44 +183,48 @@ def test_basis_compares_and_hashes_by_identity():
 
 def test_basis_blocks_reproduce_recurrence():
     # each (degree, first variable) run is a contiguous slice that is a
-    # contiguous slice of the previous degree times one variable; together
-    # the runs cover 1..size
+    # contiguous slice of the previous degree times one variable; with the
+    # degree-1 entries, e_0..e_{d-1} at 1..d, the runs cover 1..size
     for d in range(1, 6):
         for g in range(13):
             b = tk.build_basis(d, g)
-            assert b.blocks.shape == (g * d, 4)
-            assert not b.blocks.flags.writeable
             covered = np.zeros(b.size, dtype=int)
             degrees = b.exponents.sum(axis=1)
-            for dst, src, length, v in b.blocks:
-                assert length > 0
-                step = b.exponents[dst:dst + length] - b.exponents[src:src + length]
-                assert (step == np.eye(d, dtype=int)[v]).all()
-                assert degrees[src] == degrees[dst] - 1
-                covered[dst:dst + length] += 1
+            if g >= 1:
+                assert (b.exponents[1:d + 1] == np.eye(d, dtype=int)).all()
+                covered[1:d + 1] += 1
+            for dst, src, factor, row in b.runs:
+                assert 0 < dst.stop - dst.start == src.stop - src.start
+                assert dst.step is None and src.step is None
+                step = b.exponents[dst] - b.exponents[src]
+                assert (step == np.eye(d, dtype=int)[row - 1]).all()
+                assert degrees[src.start] == degrees[dst.start] - 1 >= 1
+                covered[dst] += 1
             assert covered[0] == 0 and (covered[1:] == 1).all(), (d, g)
 
 
 def test_basis_run_slices_are_the_run_table():
-    # the short-row schedule's index form: one (dst, src, factor) per run
-    # past degree 1, in the run table's order, and every factor-block row
-    # it reads is the run's variable's degree-1 entry; each variable's rows
-    # are one contiguous stretch, as long as its longest run
+    # one (dst, src, factor, row) per run past degree 1, in entry order, and
+    # every factor-block row a run reads is its variable's degree-1 entry,
+    # row; each variable's rows are one contiguous stretch, as long as its
+    # longest run
     for d in range(1, 6):
         for g in range(13):
             b = tk.build_basis(d, g)
-            assert isinstance(b.run_slices, tuple)
-            assert len(b.run_slices) == max(g - 1, 0) * d
+            assert isinstance(b.runs, tuple)
+            assert len(b.runs) == max(g - 1, 0) * d
+            assert [dst.start for dst, _, _, _ in b.runs] == sorted(
+                dst.start for dst, _, _, _ in b.runs)
             longest = np.zeros(d, dtype=int)
-            for (dst, src, factor), (d0, s0, length, v) in zip(b.run_slices, b.blocks[d:]):
-                assert (dst.start, dst.stop, src.start, src.stop) == (d0, d0 + length, s0, s0 + length)
-                assert (b.factor_rows[factor] == 1 + v).all() and factor.stop - factor.start == length
-                longest[v] = max(longest[v], length)
+            for dst, src, factor, row in b.runs:
+                length = dst.stop - dst.start
+                assert 1 <= row <= d and factor.stop - factor.start == length
+                assert (b.factor_rows[factor] == row).all()
+                longest[row - 1] = max(longest[row - 1], length)
             assert (b.factor_rows == np.repeat(np.arange(1, d + 1), longest)).all(), (d, g)
 
 
-@pytest.mark.parametrize("name", ["exponents", "log_factorials", "blocks", "factor_rows",
-                                  "run_slices"])
+@pytest.mark.parametrize("name", ["exponents", "log_factorials", "factor_rows", "runs"])
 def test_basis_takes_only_d_and_g(name):
     # the arrays were constructor parameters that __post_init__ overwrote,
     # so MonomialBasis(d=2, g=2, log_factorials=w) silently dropped w
